@@ -16,7 +16,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -27,8 +27,7 @@ from .fading import (build_profile, characteristic_coefficients,
 from .fading import SystemConfig
 
 __all__ = ["main", "run_experiment", "run_figure", "parse_config_text",
-           "serialize_config", "resolve_config", "ConfigError",
-           "ExperimentConfig"]
+           "serialize_config", "resolve_config", "ConfigError"]
 
 MODES = ("rate", "ser", "outage", "asymptotic", "dof", "montecarlo",
          "scenario2", "figure")
@@ -42,14 +41,6 @@ def _parse_int(text):
     return int(text, 0)
 
 
-def _parse_float(text):
-    return float(text)
-
-
-def _parse_str(text):
-    return text
-
-
 def _parse_float_list(text):
     return tuple(float(v) for v in str(text).split(",") if v.strip() != "")
 
@@ -61,7 +52,7 @@ def _parse_int_list(text):
 # key -> (parser, default, help)
 CONFIG_KEYS = {
     "seed": (_parse_int, 0, "base seed for all randomness"),
-    "out": (_parse_str, "out", "output directory"),
+    "out": (str, "out", "output directory"),
     "threads": (_parse_int, 1, "worker threads for sweeps"),
     "trials": (_parse_int, 10000, "Monte Carlo trials per point"),
     "batch_size": (_parse_int, 512, "Monte Carlo chunk size"),
@@ -70,62 +61,70 @@ CONFIG_KEYS = {
     "n_list": (_parse_int_list, (20,), "antenna counts to sweep"),
     "snr_db_list": (_parse_float_list, (10.0,), "transmit SNRs in dB"),
     "cross_gain_list": (_parse_float_list, (0.1,), "cross gains a"),
-    "beta_direct": (_parse_float, 1.0, "direct-link large-scale gain"),
-    "fading_file": (_parse_str, "", "optional fading tensor file "
-                                    "(overrides symmetric gains)"),
+    "beta_direct": (float, 1.0, "direct-link large-scale gain"),
+    "fading_file": (str, "", "optional fading tensor file "
+                             "(overrides symmetric gains)"),
     "user_index": (_parse_int, 0, "tagged user index"),
     "cell_index": (_parse_int, 0, "home cell index"),
     "psk_order": (_parse_int, 4, "M for M-PSK"),
     "gamma_th_list": (_parse_float_list, (1.0,), "outage SINR thresholds"),
     "kappa_list": (_parse_float_list, (2.0, 5.0, 10.0), "antenna/user ratios"),
-    "e_u": (_parse_float, 10.0, "fixed energy E_u for p_u = E_u/N limits"),
+    "e_u": (float, 10.0, "fixed energy E_u for p_u = E_u/N limits"),
     "eta_list": (_parse_float_list, (0.8, 0.9), "target fractions of the "
                                                 "ultimate rate"),
     "r_inf_list": (_parse_float_list, (1.0, 2.0, 3.0, 4.0, 5.0, 6.0),
                    "ultimate rates for the DoF solver"),
-    "mc_metric": (_parse_str, "rate", "montecarlo mode: rate|ser|outage"),
-    "ser_mode": (_parse_str, "semi_analytic", "semi_analytic|symbol"),
+    "mc_metric": (str, "rate", "montecarlo mode: rate|ser|outage"),
+    "ser_mode": (str, "semi_analytic", "semi_analytic|symbol"),
     "reuse_list": (_parse_int_list, (1, 3, 7), "frequency reuse factors"),
     "drops": (_parse_int, 200, "geometry drops for scenario2"),
     "fading_samples": (_parse_int, 100, "fading draws per drop"),
-    "cell_radius": (_parse_float, 1000.0, "hexagon center-to-vertex, m"),
-    "exclusion_radius": (_parse_float, 100.0, "min user-BS distance, m"),
-    "interference_horizon": (_parse_float, 8000.0, "horizon, m"),
-    "path_loss_exponent": (_parse_float, 3.8, "path loss exponent"),
-    "shadow_sigma_db": (_parse_float, 8.0, "shadowing std, dB"),
-    "bandwidth_hz": (_parse_float, 20e6, "total bandwidth, Hz"),
-    "symbol_duration_s": (_parse_float, 71.4e-6, "OFDM symbol duration"),
-    "useful_duration_s": (_parse_float, 66.7e-6, "OFDM useful duration"),
+    "cell_radius": (float, 1000.0, "hexagon center-to-vertex, m"),
+    "exclusion_radius": (float, 100.0, "min user-BS distance, m"),
+    "interference_horizon": (float, 8000.0, "horizon, m"),
+    "path_loss_exponent": (float, 3.8, "path loss exponent"),
+    "shadow_sigma_db": (float, 8.0, "shadowing std, dB"),
+    "bandwidth_hz": (float, 20e6, "total bandwidth, Hz"),
+    "symbol_duration_s": (float, 71.4e-6, "OFDM symbol duration"),
+    "useful_duration_s": (float, 66.7e-6, "OFDM useful duration"),
     "emit_samples": (_parse_int, 1, "scenario2: also write per-sample rates"),
 }
 
 
-def parse_config_text(text, source="<config>"):
-    """Parse 'key = value' lines; '#' starts a comment.  All problems are
-    reported together."""
+def _parse_entries(entries):
+    """Parse (where, 'key = value') pairs into typed values.  All problems
+    are reported together."""
     values = {}
     errors = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    unknown = False
+    for where, line in entries:
         if "=" not in line:
-            errors.append(f"{source}:{lineno}: expected 'key = value', "
-                          f"got {raw.strip()!r}")
+            errors.append(f"{where}: expected 'key = value', got {line!r}")
             continue
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
         if key not in CONFIG_KEYS:
-            errors.append(f"{source}:{lineno}: unknown key {key!r}")
+            errors.append(f"{where}: unknown key {key!r}")
+            unknown = True
             continue
         parser = CONFIG_KEYS[key][0]
         try:
             values[key] = parser(val)
         except ValueError:
-            errors.append(f"{source}:{lineno}: bad value for {key}: {val!r}")
+            errors.append(f"{where}: bad value for {key}: {val!r}")
+    if unknown:
+        errors.append("valid keys: " + ", ".join(sorted(CONFIG_KEYS)))
     if errors:
         raise ConfigError("\n".join(errors))
     return values
+
+
+def parse_config_text(text, source="<config>"):
+    """Parse 'key = value' lines; '#' starts a comment.  All problems are
+    reported together."""
+    lines = ((f"{source}:{lineno}", raw.split("#", 1)[0].strip())
+             for lineno, raw in enumerate(text.splitlines(), 1))
+    return _parse_entries((where, line) for where, line in lines if line)
 
 
 def serialize_config(cfg):
@@ -144,14 +143,18 @@ def resolve_config(file_values=None, overrides=None):
     merged.update(file_values or {})
     merged.update(overrides or {})
     errors = []
-    if merged["threads"] < 1:
-        errors.append("threads must be >= 1")
-    if merged["trials"] < 1:
-        errors.append("trials must be >= 1")
-    if merged["users"] < 1:
-        errors.append("users must be >= 1")
-    if merged["cells"] < 1:
-        errors.append("cells must be >= 1")
+    for key, low in (("threads", 1), ("trials", 1), ("users", 1),
+                     ("cells", 1), ("batch_size", 1), ("drops", 1),
+                     ("fading_samples", 1), ("psk_order", 2)):
+        if merged[key] < low:
+            errors.append(f"{key} must be >= {low}")
+    for key, bound in (("user_index", "users"), ("cell_index", "cells")):
+        if not 0 <= merged[key] < merged[bound]:
+            errors.append(f"{key} must lie in [0, {bound}), "
+                          f"got {merged[key]}")
+    for key in ("beta_direct", "e_u"):
+        if not merged[key] > 0:
+            errors.append(f"{key} must be positive, got {merged[key]}")
     for key in ("n_list", "snr_db_list", "cross_gain_list", "gamma_th_list",
                 "kappa_list", "eta_list", "r_inf_list", "reuse_list"):
         if not merged[key]:
@@ -165,6 +168,15 @@ def resolve_config(file_values=None, overrides=None):
     for a in merged["cross_gain_list"]:
         if a <= 0:
             errors.append(f"cross gain must be positive, got {a}")
+    for kappa in merged["kappa_list"]:
+        if kappa <= 1:
+            errors.append(f"kappa must exceed 1, got {kappa}")
+    for eta in merged["eta_list"]:
+        if not 0 < eta < 1:
+            errors.append(f"eta must lie in (0, 1), got {eta}")
+    for r_inf in merged["r_inf_list"]:
+        if r_inf <= 0:
+            errors.append(f"ultimate rate must be positive, got {r_inf}")
     for r in merged["reuse_list"]:
         if r not in (1, 3, 7):
             errors.append(f"reuse factor must be 1, 3, or 7, got {r}")
@@ -174,31 +186,20 @@ def resolve_config(file_values=None, overrides=None):
     if merged["ser_mode"] not in ("semi_analytic", "symbol"):
         errors.append(f"ser_mode must be semi_analytic|symbol, "
                       f"got {merged['ser_mode']!r}")
-    if merged["fading_file"] and not os.path.exists(merged["fading_file"]):
-        errors.append(f"fading_file not found: {merged['fading_file']}")
+    if merged["fading_file"]:
+        try:
+            fad = load_fading_text(merged["fading_file"])
+        except (OSError, ValueError) as exc:
+            errors.append(f"bad fading_file: {exc}")
+        else:
+            shape = (fad.num_cells, fad.users_per_cell)
+            if shape != (merged["cells"], merged["users"]):
+                errors.append(f"fading_file has L, K = {shape[0]}, {shape[1]}"
+                              f" but cells, users = {merged['cells']}, "
+                              f"{merged['users']}")
     if errors:
         raise ConfigError("\n".join(errors))
     return merged
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One runnable experiment: a mode plus its resolved key-value map.
-
-    `values` must come from resolve_config (defaults + file + overrides);
-    figure experiments additionally carry the figure id.
-    """
-
-    mode: str
-    values: dict = field(default_factory=dict)
-    figure_id: str = None
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ConfigError(f"unknown mode {self.mode!r}; valid: "
-                              + ", ".join(MODES))
-        if self.mode == "figure" and self.figure_id is None:
-            raise ConfigError("figure experiments need a figure_id")
 
 
 def _fmt(value):
@@ -225,25 +226,22 @@ def _write_csv(path, cfg, mode, columns, rows):
     return path
 
 
-def _parallel_map(fn, items, threads):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _db_to_linear(snr_db):
     return 10.0 ** (snr_db / 10.0)
 
 
-def _system(cfg, n, a, snr_db):
-    """Build (SystemConfig, fading, expansion) for one sweep point."""
-    sc = SystemConfig(cfg["cells"], cfg["users"], n, _db_to_linear(snr_db))
+def _symmetric(cfg, a):
+    return symmetric_fading(cfg["cells"], cfg["users"], cfg["beta_direct"], a)
+
+
+def _system(cfg, n, a, p_u):
+    """Build (SystemConfig, fading, expansion) for one sweep point; `p_u`
+    is the linear transmit SNR."""
+    sc = SystemConfig(cfg["cells"], cfg["users"], n, p_u)
     if cfg["fading_file"]:
         fad = load_fading_text(cfg["fading_file"])
     else:
-        fad = symmetric_fading(cfg["cells"], cfg["users"],
-                               cfg["beta_direct"], a)
+        fad = _symmetric(cfg, a)
     profile = build_profile(sc, fad, cfg["cell_index"])
     expansion = (CharacteristicExpansion.empty() if profile.is_empty
                  else characteristic_coefficients(profile))
@@ -256,155 +254,108 @@ def _point_seed(base_seed, index):
 
 
 # ---------------------------------------------------------------------------
-# mode handlers: each returns (columns, rows, written extra files)
+# per-point functions: (cfg, quality, index, point) -> list of CSV rows;
+# `index` is the point's position in the grid and seeds its randomness
 # ---------------------------------------------------------------------------
 
-def _grid(cfg, axes):
-    out = [()]
-    for axis in axes:
-        out = [row + (v,) for row in out for v in cfg[axis]]
-    return out
+def _rate_point(cfg, quality, index, point):
+    snr_db, n, a = point
+    sc, fad, expansion = _system(cfg, n, a, _db_to_linear(snr_db))
+    k, l = cfg["user_index"], cfg["cell_index"]
+    exact = closedform.rate_exact(sc, fad, expansion, k, l, quality=quality)
+    bound = closedform.rate_lower_bound(sc, fad, expansion, k, l)
+    return [(snr_db, n, a, exact.value, sc.users_per_cell * exact.value,
+             bound.value, exact.method, int(exact.cancellation_flagged))]
 
 
-def _run_rate(cfg, quality):
-    points = _grid(cfg, ("snr_db_list", "n_list", "cross_gain_list"))
-
-    def work(point):
-        snr_db, n, a = point
-        sc, fad, expansion = _system(cfg, n, a, snr_db)
-        k, l = cfg["user_index"], cfg["cell_index"]
-        exact = closedform.rate_exact(sc, fad, expansion, k, l,
-                                      quality=quality)
-        bound = closedform.rate_lower_bound(sc, fad, expansion, k, l)
-        return (snr_db, n, a, exact.value, sc.users_per_cell * exact.value,
-                bound.value, exact.method, int(exact.cancellation_flagged))
-
-    rows = _parallel_map(work, points, cfg["threads"])
-    cols = ("snr_db", "n", "cross_gain", "rate_per_user", "sum_rate",
-            "rate_lower_bound", "method", "cancellation_flagged")
-    return cols, rows
-
-
-def _run_ser(cfg, quality):
-    points = _grid(cfg, ("snr_db_list", "n_list", "cross_gain_list"))
+def _ser_point(cfg, quality, index, point):
+    snr_db, n, a = point
+    sc, fad, expansion = _system(cfg, n, a, _db_to_linear(snr_db))
+    k, l = cfg["user_index"], cfg["cell_index"]
     modulation = ModulationScheme(cfg["psk_order"])
-
-    def work(point):
-        snr_db, n, a = point
-        sc, fad, expansion = _system(cfg, n, a, snr_db)
-        k, l = cfg["user_index"], cfg["cell_index"]
-        exact = closedform.ser_exact(sc, fad, expansion, modulation, k, l,
-                                     quality=quality)
-        approx = closedform.ser_approx(sc, fad, expansion, modulation, k, l,
-                                       quality=quality)
-        floor = closedform.ser_high_snr(sc, fad, expansion, modulation, k, l,
-                                        quality=quality)
-        return (snr_db, n, a, cfg["psk_order"], exact, approx, floor)
-
-    rows = _parallel_map(work, points, cfg["threads"])
-    cols = ("snr_db", "n", "cross_gain", "psk_order", "ser_exact",
-            "ser_approx", "ser_high_snr_floor")
-    return cols, rows
+    exact = closedform.ser_exact(sc, fad, expansion, modulation, k, l,
+                                 quality=quality)
+    approx = closedform.ser_approx(sc, fad, expansion, modulation, k, l,
+                                   quality=quality)
+    floor = closedform.ser_high_snr(sc, fad, expansion, modulation, k, l,
+                                    quality=quality)
+    return [(snr_db, n, a, cfg["psk_order"], exact, approx, floor)]
 
 
-def _run_outage(cfg, quality):
-    points = _grid(cfg, ("snr_db_list", "n_list", "cross_gain_list",
-                         "gamma_th_list"))
-
-    def work(point):
-        snr_db, n, a, gth = point
-        sc, fad, expansion = _system(cfg, n, a, snr_db)
-        k, l = cfg["user_index"], cfg["cell_index"]
-        exact = closedform.outage_exact(sc, fad, expansion, k, l, gth)
-        asym = closedform.outage_small_threshold(sc, fad, expansion, k, l,
-                                                 gth)
-        return (snr_db, n, a, gth, exact, asym)
-
-    rows = _parallel_map(work, points, cfg["threads"])
-    cols = ("snr_db", "n", "cross_gain", "gamma_th", "outage_exact",
-            "outage_small_threshold")
-    return cols, rows
+def _outage_point(cfg, quality, index, point):
+    snr_db, n, a, gth = point
+    sc, fad, expansion = _system(cfg, n, a, _db_to_linear(snr_db))
+    k, l = cfg["user_index"], cfg["cell_index"]
+    exact = closedform.outage_exact(sc, fad, expansion, k, l, gth)
+    asym = closedform.outage_small_threshold(sc, fad, expansion, k, l, gth)
+    return [(snr_db, n, a, gth, exact, asym)]
 
 
-def _run_asymptotic(cfg, quality):
-    points = _grid(cfg, ("cross_gain_list", "kappa_list"))
-
-    def work(point):
-        a, kappa = point
-        fad = symmetric_fading(cfg["cells"], cfg["users"],
-                               cfg["beta_direct"], a)
-        k, l = cfg["user_index"], cfg["cell_index"]
-        sir = asymptotic.deterministic_sir(fad, l, k, kappa)
-        sinr = asymptotic.power_scaled_fixed_ratio_sinr(fad, l, k,
-                                                        cfg["e_u"], kappa)
-        rate = asymptotic.power_scaled_fixed_ratio_rate(fad, l, k,
-                                                        cfg["e_u"], kappa)
-        ult = asymptotic.power_scaled_limit_rate(fad, l, k, cfg["e_u"])
-        return (a, kappa, cfg["e_u"], sir, sinr, rate, ult)
-
-    rows = _parallel_map(work, points, cfg["threads"])
-    cols = ("cross_gain", "kappa", "e_u", "deterministic_sir",
-            "power_scaled_sinr", "power_scaled_rate", "ultimate_rate")
-    return cols, rows
+def _asymptotic_point(cfg, quality, index, point):
+    a, kappa = point
+    fad = _symmetric(cfg, a)
+    k, l, e_u = cfg["user_index"], cfg["cell_index"], cfg["e_u"]
+    sir = asymptotic.deterministic_sir(fad, l, k, kappa)
+    sinr = asymptotic.power_scaled_fixed_ratio_sinr(fad, l, k, e_u, kappa)
+    rate = asymptotic.power_scaled_fixed_ratio_rate(fad, l, k, e_u, kappa)
+    ult = asymptotic.power_scaled_limit_rate(fad, l, k, e_u)
+    return [(a, kappa, e_u, sir, sinr, rate, ult)]
 
 
-def _run_dof(cfg, quality):
-    points = _grid(cfg, ("eta_list", "cross_gain_list", "r_inf_list"))
-
-    def work(point):
-        eta, a, r_inf = point
-        fad = symmetric_fading(cfg["cells"], cfg["users"],
-                               cfg["beta_direct"], a)
-        k, l = cfg["user_index"], cfg["cell_index"]
-        beta = fad.direct_gain(l, k)
-        e_u = (2.0 ** r_inf - 1.0) / beta
-        kappa = asymptotic.required_kappa(fad, l, k, e_u, eta)
-        return (eta, a, r_inf, e_u, kappa,
-                asymptotic.kappa_to_antennas(kappa, cfg["users"]))
-
-    rows = _parallel_map(work, points, cfg["threads"])
-    cols = ("eta", "cross_gain", "r_inf", "e_u", "kappa_required",
-            "antennas_required")
-    return cols, rows
+def _dof_point(cfg, quality, index, point):
+    eta, a, r_inf = point
+    fad = _symmetric(cfg, a)
+    k, l = cfg["user_index"], cfg["cell_index"]
+    e_u = (2.0 ** r_inf - 1.0) / fad.direct_gain(l, k)
+    kappa = asymptotic.required_kappa(fad, l, k, e_u, eta)
+    return [(eta, a, r_inf, e_u, kappa,
+             asymptotic.kappa_to_antennas(kappa, cfg["users"]))]
 
 
-def _run_montecarlo(cfg, quality):
-    metric = cfg["mc_metric"]
-    points = list(enumerate(_grid(
-        cfg, ("snr_db_list", "n_list", "cross_gain_list"))))
-    modulation = ModulationScheme(cfg["psk_order"])
-
-    def work(indexed):
-        idx, (snr_db, n, a) = indexed
-        sc, fad, expansion = _system(cfg, n, a, snr_db)
-        k, l = cfg["user_index"], cfg["cell_index"]
-        plan = montecarlo.TrialPlan(cfg["trials"],
-                                    base_seed=_point_seed(cfg["seed"], idx),
-                                    batch_size=cfg["batch_size"])
-        if metric == "rate":
-            est = montecarlo.estimate_rate(sc, fad, plan, home_cell=l)
-            ref = closedform.rate_exact(sc, fad, expansion, k, l,
-                                        quality=quality).value
-        elif metric == "ser":
-            est = montecarlo.estimate_ser(sc, fad, modulation, plan,
-                                          home_cell=l, mode=cfg["ser_mode"])
-            ref = closedform.ser_exact(sc, fad, expansion, modulation, k, l,
-                                       quality=quality)
-        else:
-            gth = cfg["gamma_th_list"][0]
-            est = montecarlo.estimate_outage(sc, fad, plan, gth, home_cell=l)
-            ref = closedform.outage_exact(sc, fad, expansion, k, l, gth)
-        return (snr_db, n, a, metric, est.value, est.std_error,
-                est.num_trials, ref)
-
-    rows = _parallel_map(work, points, cfg["threads"])
-    cols = ("snr_db", "n", "cross_gain", "metric", "estimate", "std_error",
-            "trials", "closed_form_reference")
-    return cols, rows
+def _montecarlo_point(cfg, quality, index, point):
+    snr_db, n, a = point
+    sc, fad, expansion = _system(cfg, n, a, _db_to_linear(snr_db))
+    k, l, metric = cfg["user_index"], cfg["cell_index"], cfg["mc_metric"]
+    plan = montecarlo.TrialPlan(cfg["trials"],
+                                base_seed=_point_seed(cfg["seed"], index),
+                                batch_size=cfg["batch_size"])
+    if metric == "rate":
+        est = montecarlo.estimate_rate(sc, fad, plan, home_cell=l)
+        ref = closedform.rate_exact(sc, fad, expansion, k, l,
+                                    quality=quality).value
+    elif metric == "ser":
+        modulation = ModulationScheme(cfg["psk_order"])
+        est = montecarlo.estimate_ser(sc, fad, modulation, plan,
+                                      home_cell=l, mode=cfg["ser_mode"])
+        ref = closedform.ser_exact(sc, fad, expansion, modulation, k, l,
+                                   quality=quality)
+    else:
+        gth = cfg["gamma_th_list"][0]
+        est = montecarlo.estimate_outage(sc, fad, plan, gth, home_cell=l)
+        ref = closedform.outage_exact(sc, fad, expansion, k, l, gth)
+    return [(snr_db, n, a, metric, est.value, est.std_error, est.num_trials,
+             ref)]
 
 
-def _scenario_from_cfg(cfg, reuse, n, snr_db):
-    return cellnet.NetworkScenario(
+def _powerscaled_point(cfg, quality, index, point):
+    """Fig.-3 style: rate at fixed p_u = E_u and at p_u = E_u/N."""
+    n, a = point
+    e_u = _db_to_linear(cfg["snr_db_list"][0])
+    rows = []
+    for scaling, p_u in (("fixed", e_u), ("one_over_n", e_u / n)):
+        sc, fad, expansion = _system(cfg, n, a, p_u)
+        res = closedform.rate_exact(sc, fad, expansion, cfg["user_index"],
+                                    cfg["cell_index"], quality=quality)
+        rows.append((n, a, scaling, p_u, res.value,
+                     sc.users_per_cell * res.value, res.method))
+    return rows
+
+
+def _scenario2_point(cfg, quality, index, point):
+    """One network rate distribution; its samples ride as the last field."""
+    reuse, n = point
+    snr_db = cfg["snr_db_list"][0]
+    scenario = cellnet.NetworkScenario(
         cell_radius=cfg["cell_radius"],
         exclusion_radius=cfg["exclusion_radius"],
         interference_horizon=cfg["interference_horizon"],
@@ -414,46 +365,84 @@ def _scenario_from_cfg(cfg, reuse, n, snr_db):
         users_per_cell=cfg["users"],
         antennas=n,
         transmit_snr=_db_to_linear(snr_db))
-
-
-def _run_scenario2(cfg, quality, out_dir=None, tag="scenario2"):
     ofdm = cellnet.OfdmParams(cfg["symbol_duration_s"],
                               cfg["useful_duration_s"], cfg["bandwidth_hz"])
-    snr_db = cfg["snr_db_list"][0]
-    points = list(enumerate(_grid(cfg, ("reuse_list", "n_list"))))
-
-    def work(indexed):
-        idx, (reuse, n) = indexed
-        scenario = _scenario_from_cfg(cfg, reuse, n, snr_db)
-        rng = np.random.default_rng(_point_seed(cfg["seed"], idx))
-        dist = cellnet.rate_distribution(scenario, ofdm, cfg["drops"],
-                                         cfg["fading_samples"], rng)
-        return reuse, n, dist
-
-    results = _parallel_map(work, points, cfg["threads"])
-    rows = []
-    extra = []
-    for reuse, n, dist in results:
-        rows.append((reuse, n, snr_db, dist.likely_95, dist.mean,
-                     dist.percentile(50.0), dist.samples.size))
-        if cfg["emit_samples"] and out_dir is not None:
-            path = os.path.join(out_dir, f"{tag}_samples_r{reuse}_n{n}.csv")
-            extra.append(_write_csv(path, cfg, "scenario2-samples",
-                                    ("net_rate_bps",),
-                                    [(v,) for v in dist.samples]))
-    cols = ("reuse", "n", "snr_db", "likely95_bps", "mean_bps",
-            "median_bps", "samples")
-    return cols, rows, extra
+    rng = np.random.default_rng(_point_seed(cfg["seed"], index))
+    dist = cellnet.rate_distribution(scenario, ofdm, cfg["drops"],
+                                     cfg["fading_samples"], rng)
+    return [(reuse, n, snr_db, dist.likely_95, dist.mean,
+             dist.percentile(50.0), dist.samples.size, dist.samples)]
 
 
-_MODE_HANDLERS = {
-    "rate": _run_rate,
-    "ser": _run_ser,
-    "outage": _run_outage,
-    "asymptotic": _run_asymptotic,
-    "dof": _run_dof,
-    "montecarlo": _run_montecarlo,
+_LINK_AXES = ("snr_db_list", "n_list", "cross_gain_list")
+
+# mode -> (grid axes, CSV columns, per-point function)
+_SWEEPS = {
+    "rate": (_LINK_AXES, ("snr_db", "n", "cross_gain", "rate_per_user",
+                          "sum_rate", "rate_lower_bound", "method",
+                          "cancellation_flagged"), _rate_point),
+    "ser": (_LINK_AXES, ("snr_db", "n", "cross_gain", "psk_order",
+                         "ser_exact", "ser_approx", "ser_high_snr_floor"),
+            _ser_point),
+    "outage": (_LINK_AXES + ("gamma_th_list",),
+               ("snr_db", "n", "cross_gain", "gamma_th", "outage_exact",
+                "outage_small_threshold"), _outage_point),
+    "asymptotic": (("cross_gain_list", "kappa_list"),
+                   ("cross_gain", "kappa", "e_u", "deterministic_sir",
+                    "power_scaled_sinr", "power_scaled_rate",
+                    "ultimate_rate"), _asymptotic_point),
+    "dof": (("eta_list", "cross_gain_list", "r_inf_list"),
+            ("eta", "cross_gain", "r_inf", "e_u", "kappa_required",
+             "antennas_required"), _dof_point),
+    "montecarlo": (_LINK_AXES, ("snr_db", "n", "cross_gain", "metric",
+                                "estimate", "std_error", "trials",
+                                "closed_form_reference"), _montecarlo_point),
+    "rate+powerscaled": (("n_list", "cross_gain_list"),
+                         ("n", "cross_gain", "power_scaling", "p_u",
+                          "rate_per_user", "sum_rate", "method"),
+                         _powerscaled_point),
+    "scenario2": (("reuse_list", "n_list"),
+                  ("reuse", "n", "snr_db", "likely95_bps", "mean_bps",
+                   "median_bps", "samples"), _scenario2_point),
 }
+
+
+def _grid(cfg, axes):
+    out = [()]
+    for axis in axes:
+        out = [row + (v,) for row in out for v in cfg[axis]]
+    return out
+
+
+def _sweep(mode, cfg, quality, stem):
+    """Run `mode` over its grid and write `<out>/<stem>.csv`; returns the
+    paths written.  Scenario 2 writes `<stem>_summary.csv` instead, plus
+    one per-sample file per point when `emit_samples` is set."""
+    axes, columns, point_fn = _SWEEPS[mode]
+    points = _grid(cfg, axes)
+    work = partial(point_fn, cfg, quality)
+    if cfg["threads"] <= 1 or len(points) <= 1:
+        chunks = list(map(work, range(len(points)), points))
+    else:
+        with ThreadPoolExecutor(max_workers=cfg["threads"]) as pool:
+            chunks = list(pool.map(work, range(len(points)), points))
+    rows = [row for chunk in chunks for row in chunk]
+    out_dir = cfg["out"]
+    extra = []
+    if mode == "scenario2":
+        if cfg["emit_samples"]:
+            for reuse, n, *_, samples in rows:
+                path = os.path.join(out_dir,
+                                    f"{stem}_samples_r{reuse}_n{n}.csv")
+                extra.append(_write_csv(path, cfg, "scenario2-samples",
+                                        ("net_rate_bps",),
+                                        [(v,) for v in samples]))
+        rows = [row[:-1] for row in rows]
+        stem += "_summary"
+    path = _write_csv(os.path.join(out_dir, f"{stem}.csv"), cfg, mode,
+                      columns, rows)
+    return [path] + extra
+
 
 # figure presets: (mode, overrides, simulated-companion metric or None);
 # figures whose captions include simulated curves get a second CSV with
@@ -484,100 +473,41 @@ FIGURE_PRESETS = {
 }
 
 
-def _run_rate_powerscaled(cfg, quality):
-    """Fig.-3 style: sum rate vs N for fixed p_u and p_u = E_u/N."""
-    points = _grid(cfg, ("n_list", "cross_gain_list"))
-    snr_db = cfg["snr_db_list"][0]
-    e_u = _db_to_linear(snr_db)
-
-    def work(point):
-        n, a = point
-        out = []
-        for scaling, p_u in (("fixed", e_u), ("one_over_n", e_u / n)):
-            sc = SystemConfig(cfg["cells"], cfg["users"], n, p_u)
-            fad = symmetric_fading(cfg["cells"], cfg["users"],
-                                   cfg["beta_direct"], a)
-            profile = build_profile(sc, fad, cfg["cell_index"])
-            expansion = (CharacteristicExpansion.empty() if profile.is_empty
-                         else characteristic_coefficients(profile))
-            res = closedform.rate_exact(sc, fad, expansion,
-                                        cfg["user_index"], cfg["cell_index"],
-                                        quality=quality)
-            out.append((n, a, scaling, p_u, res.value,
-                        sc.users_per_cell * res.value, res.method))
-        return out
-
-    nested = _parallel_map(work, points, cfg["threads"])
-    rows = [row for chunk in nested for row in chunk]
-    cols = ("n", "cross_gain", "power_scaling", "p_u", "rate_per_user",
-            "sum_rate", "method")
-    return cols, rows
-
-
 def run_experiment(mode, cfg=None, quality=None):
     """Run one experiment; returns the list of CSV paths written.
 
-    Accepts either an ExperimentConfig or a (mode string, resolved config)
-    pair.
+    `cfg` is a resolved config (defaults when None); the CSV is named after
+    the mode.  Figures go through run_figure, which needs a figure id.
     """
-    if isinstance(mode, ExperimentConfig):
-        exp = mode
-        if exp.mode == "figure":
-            return run_figure(exp.figure_id, exp.values, quality)
-        mode, cfg = exp.mode, exp.values
+    if mode not in _SWEEPS:
+        hint = "; use run_figure with a figure id" if mode == "figure" else ""
+        raise ConfigError(f"unknown mode {mode!r}{hint}; valid: "
+                          + ", ".join(_SWEEPS))
+    cfg = cfg if cfg is not None else resolve_config()
     quality = quality if quality is not None else QualityLog()
-    out_dir = cfg["out"]
-    if mode == "scenario2":
-        cols, rows, extra = _run_scenario2(cfg, quality, out_dir)
-        path = _write_csv(os.path.join(out_dir, "scenario2_summary.csv"),
-                          cfg, mode, cols, rows)
-        return [path] + extra
-    if mode == "rate+powerscaled":
-        cols, rows = _run_rate_powerscaled(cfg, quality)
-        path = _write_csv(os.path.join(out_dir, "rate_vs_antennas.csv"),
-                          cfg, mode, cols, rows)
-        return [path]
-    handler = _MODE_HANDLERS[mode]
-    cols, rows = handler(cfg, quality)
-    path = _write_csv(os.path.join(out_dir, f"{mode}.csv"), cfg, mode,
-                      cols, rows)
-    return [path]
+    return _sweep(mode, cfg, quality, mode)
 
 
 def run_figure(figure_id, cfg, quality=None, explicit=None):
     """Reproduce one of the bundled reference figures (or the rate table).
 
     Presets fill the figure's grids; keys the caller set explicitly
-    (`explicit`) still win over the preset.
+    (`explicit`) still win over the preset.  The merged config is checked
+    again, so a preset grid that clashes with the caller's keys raises
+    ConfigError.
     """
     fid = str(figure_id)
     if fid not in FIGURE_PRESETS:
         raise ConfigError(f"unknown figure id {figure_id!r}; valid: "
                           + ", ".join(sorted(FIGURE_PRESETS)))
     mode, preset, sim_metric = FIGURE_PRESETS[fid]
-    merged = dict(cfg)
-    merged.update(preset)
-    merged.update(explicit or {})
+    merged = resolve_config(cfg, {**preset, **(explicit or {})})
     quality = quality if quality is not None else QualityLog()
-    out_dir = merged["out"]
-    tag = f"figure{fid}" if fid != "table1" else "table1"
-    if mode == "scenario2":
-        cols, rows, extra = _run_scenario2(merged, quality, out_dir, tag=tag)
-        path = _write_csv(os.path.join(out_dir, f"{tag}_summary.csv"),
-                          merged, mode, cols, rows)
-        return [path] + extra
-    if mode == "rate+powerscaled":
-        cols, rows = _run_rate_powerscaled(merged, quality)
-        return [_write_csv(os.path.join(out_dir, f"{tag}.csv"), merged,
-                           mode, cols, rows)]
-    cols, rows = _MODE_HANDLERS[mode](merged, quality)
-    paths = [_write_csv(os.path.join(out_dir, f"{tag}.csv"), merged, mode,
-                        cols, rows)]
+    stem = f"figure{fid}" if fid != "table1" else "table1"
+    paths = _sweep(mode, merged, quality, stem)
     if sim_metric is not None:
-        sim_cfg = dict(merged, mc_metric=sim_metric)
-        cols, rows = _run_montecarlo(sim_cfg, quality)
-        paths.append(_write_csv(os.path.join(out_dir, f"{tag}_sim.csv"),
-                                sim_cfg, "montecarlo", cols, rows))
+        paths += _sweep("montecarlo", dict(merged, mc_metric=sim_metric),
+                        quality, f"{stem}_sim")
     return paths
 
 
@@ -594,7 +524,7 @@ def _build_parser():
     for mode in MODES:
         p = sub.add_parser(mode)
         p.add_argument("--config", default=None, help="config file path")
-        p.add_argument("--seed", type=lambda v: int(v, 0), default=None)
+        p.add_argument("--seed", type=_parse_int, default=None)
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--trials", type=int, default=None)
         p.add_argument("--threads", type=int, default=None)
@@ -609,6 +539,7 @@ def _build_parser():
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    quality = QualityLog()
     try:
         file_values = {}
         if args.config:
@@ -618,37 +549,20 @@ def main(argv=None):
             except OSError as exc:
                 raise ConfigError(f"cannot read config file: {exc}")
             file_values = parse_config_text(text, source=args.config)
-        overrides = {}
-        for token in args.set:
-            if "=" not in token:
-                raise ConfigError(f"--set expects KEY=VALUE, got {token!r}")
-            key, _, val = token.partition("=")
-            key = key.strip()
-            if key not in CONFIG_KEYS:
-                raise ConfigError(f"--set: unknown key {key!r}")
-            try:
-                overrides[key] = CONFIG_KEYS[key][0](val.strip())
-            except ValueError:
-                raise ConfigError(f"--set: bad value for {key}: {val!r}")
+        overrides = _parse_entries(("--set", token) for token in args.set)
         for flag in ("seed", "out", "trials", "threads"):
             value = getattr(args, flag)
             if value is not None:
                 overrides[flag] = value
         cfg = resolve_config(file_values, overrides)
+        if args.mode == "figure":
+            paths = run_figure(args.figure_id, cfg, quality,
+                               explicit=overrides)
+        else:
+            paths = run_experiment(args.mode, cfg, quality)
     except ConfigError as exc:
         print(f"configuration error(s):\n{exc}", file=sys.stderr)
         return 2
-
-    quality = QualityLog()
-    if args.mode == "figure":
-        try:
-            paths = run_figure(args.figure_id, cfg, quality,
-                               explicit=overrides)
-        except ConfigError as exc:
-            print(f"configuration error(s):\n{exc}", file=sys.stderr)
-            return 2
-    else:
-        paths = run_experiment(args.mode, cfg, quality)
     for path in paths:
         print(f"wrote {path}")
     if quality.tripped:

@@ -285,8 +285,14 @@ def load_fading_text(path):
     seen = set()
     for ln in rows[1:]:
         parts = ln.split()
-        l, i = int(parts[0]), int(parts[1])
-        vals = [float(v) for v in parts[2:]]
+        try:
+            l, i = int(parts[0]), int(parts[1])
+            vals = [float(v) for v in parts[2:]]
+        except (IndexError, ValueError) as exc:
+            raise ValueError(f"{path}: bad tensor row {ln!r}") from exc
+        if not (0 <= l < lcount and 0 <= i < lcount):
+            raise ValueError(f"{path}: row ({l},{i}) outside the "
+                             f"{lcount}x{lcount} cell grid")
         if len(vals) != k:
             raise ValueError(f"{path}: row ({l},{i}) has {len(vals)} gains, "
                              f"expected {k}")

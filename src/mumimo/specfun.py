@@ -40,10 +40,6 @@ _ORACLE_SPEC = QuadratureSpec(relative_tolerance=1e-11,
                               absolute_tolerance=1e-300,
                               max_subdivisions=4000)
 
-# Cancellation beyond this factor leaves fewer than ~6 reliable digits in
-# double precision, so the quadrature path takes over.
-_CANCEL_LIMIT = 1e10
-
 
 def _check_int(value, name, minimum):
     if value != int(value):

@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ def test_config_parse_and_unknown_keys():
     text = str(err.value)
     # all three problems reported, not just the first
     assert "bogus" in text and "users" in text and "noequals" in text
+    assert "valid keys: " in text and "psk_order" in text
 
 
 def test_config_round_trip():
@@ -42,12 +44,28 @@ def test_config_round_trip():
     assert again == resolved
 
 
-def test_resolve_collects_all_violations():
+def test_resolve_collects_all_violations(tmp_path):
+    from mumimo.fading import save_fading_text
+    beta = tmp_path / "beta.txt"
+    save_fading_text(symmetric_fading(2, 3, 1.0, 0.2), beta)
     with pytest.raises(cli.ConfigError) as err:
         cli.resolve_config({"n_list": (5,), "users": 10,
-                            "mc_metric": "nope", "reuse_list": (2,)})
+                            "mc_metric": "nope", "reuse_list": (2,),
+                            "psk_order": 1, "batch_size": 0, "drops": 0,
+                            "fading_samples": 0, "user_index": -1,
+                            "cell_index": 4, "beta_direct": 0.0,
+                            "e_u": -1.0, "kappa_list": (2.0, 1.0),
+                            "eta_list": (0.5, 1.0), "r_inf_list": (0.0,),
+                            "fading_file": str(beta)})
     text = str(err.value)
     assert "zero-forcing" in text and "mc_metric" in text and "reuse" in text
+    for word in ("psk_order", "batch_size", "drops", "fading_samples",
+                 "user_index", "cell_index", "beta_direct", "e_u", "kappa",
+                 "eta", "ultimate rate", "fading_file has L, K = 2, 3"):
+        assert word in text
+    (tmp_path / "bad.txt").write_text("2 3\n0 0 1 1 1\n")
+    with pytest.raises(cli.ConfigError, match="bad fading_file"):
+        cli.resolve_config({"fading_file": str(tmp_path / "bad.txt")})
 
 
 def test_flags_override_config_file(tmp_path):
@@ -118,7 +136,9 @@ def test_byte_identical_across_threads_and_reruns(tmp_path):
 
 
 def test_exit_code_2_on_bad_config(tmp_path, capsys):
-    assert cli.main(["rate", "--set", "bogus=1"]) == 2
+    assert cli.main(["rate", "--set", "bogus=1", "--set", "users=x"]) == 2
+    err = capsys.readouterr().err
+    assert "bogus" in err and "users: 'x'" in err and "valid keys" in err
     bad = tmp_path / "bad.cfg"
     bad.write_text("n_list = 5\nusers = 10\n")
     assert cli.main(["rate", "--config", str(bad)]) == 2
@@ -171,15 +191,15 @@ def test_scenario2_mode_emits_summary_and_samples(tmp_path):
     assert len(sample_rows) == 250
 
 
-def test_experiment_config_type(tmp_path):
+def test_run_experiment_validates_mode(tmp_path):
     values = cli.resolve_config({"n_list": (12,), "users": 4,
                                  "trials": 200, "out": str(tmp_path)})
-    paths = cli.run_experiment(cli.ExperimentConfig("montecarlo", values))
+    paths = cli.run_experiment("montecarlo", values)
     assert paths and paths[0].endswith("montecarlo.csv")
     with pytest.raises(cli.ConfigError):
-        cli.ExperimentConfig("bogus")
+        cli.run_experiment("bogus", values)
     with pytest.raises(cli.ConfigError):
-        cli.ExperimentConfig("figure")  # needs a figure id
+        cli.run_experiment("figure", values)  # needs a figure id
 
 
 def test_figure_emits_simulated_companion(tmp_path):
@@ -211,3 +231,72 @@ def test_fading_file_key(tmp_path):
     want = rate_exact(cfg, fad, exp, 0, 0).value
     _, _, rows = read_csv(out / "rate.csv")
     assert float(rows[0]["rate_per_user"]) == want
+    # figure 3 builds its systems the same way, so it reads the file too
+    code = cli.main(["figure", "3", "--out", str(out),
+                     "--set", f"fading_file={path}",
+                     "--set", "cells=2", "--set", "users=3",
+                     "--set", "n_list=6", "--set", "cross_gain_list=0.5"])
+    assert code == 0
+    _, _, rows = read_csv(out / "figure3.csv")
+    assert rows[0]["power_scaling"] == "fixed"
+    assert float(rows[0]["rate_per_user"]) == want
+
+
+def readme_schema():
+    """mode -> column list, read from README's CSV schema table."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path) as fh:
+        table = fh.read().split("### CSV schema", 1)[1]
+    schema = {}
+    for line in table.splitlines():
+        match = re.match(r"\| ([\w+-]+) \| `([^`]*)`", line)
+        if match:
+            schema[match.group(1)] = match.group(2).split(", ")
+    return schema
+
+
+TINY = ["--trials", "50", "--set", "cells=2", "--set", "users=2",
+        "--set", "n_list=4", "--set", "snr_db_list=10",
+        "--set", "cross_gain_list=0.2", "--set", "gamma_th_list=1",
+        "--set", "kappa_list=2", "--set", "eta_list=0.8",
+        "--set", "r_inf_list=1", "--set", "reuse_list=1",
+        "--set", "drops=2", "--set", "fading_samples=2"]
+
+SAMPLES = "_samples_r1_n4.csv"
+
+# argv -> {file written: mode named in its header}
+SCHEMA_CASES = [
+    (["rate"], {"rate.csv": "rate"}),
+    (["ser"], {"ser.csv": "ser"}),
+    (["outage"], {"outage.csv": "outage"}),
+    (["asymptotic"], {"asymptotic.csv": "asymptotic"}),
+    (["dof"], {"dof.csv": "dof"}),
+    (["montecarlo"], {"montecarlo.csv": "montecarlo"}),
+    (["scenario2"], {"scenario2_summary.csv": "scenario2",
+                     "scenario2" + SAMPLES: "scenario2-samples"}),
+    (["figure", "1"], {"figure1.csv": "rate", "figure1_sim.csv": "montecarlo"}),
+    (["figure", "2"], {"figure2.csv": "rate", "figure2_sim.csv": "montecarlo"}),
+    (["figure", "3"], {"figure3.csv": "rate+powerscaled"}),
+    (["figure", "4"], {"figure4.csv": "dof"}),
+    (["figure", "5"], {"figure5.csv": "ser", "figure5_sim.csv": "montecarlo"}),
+    (["figure", "6"], {"figure6.csv": "ser"}),
+    (["figure", "7"], {"figure7_summary.csv": "scenario2",
+                       "figure7" + SAMPLES: "scenario2-samples"}),
+    (["figure", "table1"], {"table1_summary.csv": "scenario2",
+                            "table1" + SAMPLES: "scenario2-samples"}),
+]
+
+
+@pytest.mark.parametrize("argv, files", SCHEMA_CASES,
+                         ids=["-".join(argv) for argv, _ in SCHEMA_CASES])
+def test_every_mode_and_figure_writes_the_documented_schema(tmp_path, argv,
+                                                            files):
+    out = tmp_path / "o"
+    assert cli.main(argv + TINY + ["--out", str(out)]) in (0, 3)
+    assert sorted(os.listdir(out)) == sorted(files)
+    schema = readme_schema()
+    for name, mode in files.items():
+        header, cols, rows = read_csv(out / name)
+        assert header["mode"] == mode
+        assert cols == schema[mode]
+        assert rows

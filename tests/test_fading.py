@@ -169,3 +169,6 @@ def test_fading_file_errors(tmp_path):
     path.write_text("")
     with pytest.raises(ValueError):
         load_fading_text(path)
+    path.write_text("1 2\n0 5 1 1\n")  # cell index outside the 1x1 grid
+    with pytest.raises(ValueError, match="outside"):
+        load_fading_text(path)
