@@ -407,6 +407,11 @@ _SWEEPS = {
 }
 
 
+# modes whose gains come from `cross_gain_list` or a drawn network, never
+# from a fading file
+_NO_FADING_FILE = ("asymptotic", "dof", "scenario2")
+
+
 def _grid(cfg, axes):
     out = [()]
     for axis in axes:
@@ -418,6 +423,9 @@ def _sweep(mode, cfg, quality, stem):
     """Run `mode` over its grid and write `<out>/<stem>.csv`; returns the
     paths written.  Scenario 2 writes `<stem>_summary.csv` instead, plus
     one per-sample file per point when `emit_samples` is set."""
+    if cfg["fading_file"] and mode in _NO_FADING_FILE:
+        raise ConfigError(f"fading_file is not used by mode {mode!r} "
+                          f"(output {stem}); unset it for this mode")
     axes, columns, point_fn = _SWEEPS[mode]
     points = _grid(cfg, axes)
     work = partial(point_fn, cfg, quality)

@@ -14,12 +14,14 @@ the caller's QualityLog.
 import math
 import threading
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .quadrature import QuadratureSpec, integrate, integrate_semi_infinite
 from .sinrdist import make_sinr_model, mgf_sinr, mgf_sinr_high_snr
-from .specfun import (_ei_moment_closed, _log_moment_normalized, digamma_int,
+from .specfun import (_ei_moment_closed, _ei_moment_sequence,
+                      _log_moment_normalized, digamma_int,
                       ei_moment_quadrature, tricomi_u, upper_gamma_scaled)
 
 __all__ = [
@@ -169,13 +171,14 @@ _U_RELERR = 1e-11           # tricomi_u quadrature tolerance
 _RATE_RELERR_LIMIT = 1e-6   # accepted propagated error of the closed rate
 
 
-def _ei_moment_value(m, n, a, b, alpha):
-    """(value, relative-error estimate) for one I_{m,n} kernel.
+def _ei_moment_value(m, n, a, b, alpha, seq):
+    """(value, relative-error estimate) for one I_{m,n} kernel; `seq` is the
+    expansion term's shared `_ei_moment_sequence`.
 
     The closed recursion is driven by float64 Ei values, hence the 2.2e-16
     error scale.
     """
-    val, cond = _ei_moment_closed(m, n, a, b, alpha)
+    val, cond = _ei_moment_closed(m, n, a, b, alpha, seq=seq)
     if math.isfinite(val) and cond <= _EI_MOMENT_INNER_LIMIT:
         return val, max(cond * 2.3e-16, 1e-16)
     try:
@@ -219,11 +222,13 @@ def _rate_general(config, beta, expansion):
             return math.nan, math.inf, math.inf
         # U(n, n + d + 1, zmu) for d = 0 .. J-1, shared across the p-sum
         us = [ld(tricomi_u(n, n + d + 1, zmu)) for d in range(big_j)]
+        seq = _ei_moment_sequence(n - 1 + big_j, a_in, b_in, alph)
         zmu_n = ld(zmu) ** n
         lg_n = ld(math.lgamma(n))
         for p in range(big_j + 1):
             w = big_j - p
-            i_val, i_rel = _ei_moment_value(n - 1, w, a_in, b_in, alph)
+            i_val, i_rel = _ei_moment_value(n - 1, w, a_in, b_in, alph,
+                                            seq)
             sign = ld(1.0) if w % 2 == 0 else ld(-1.0)
             lw = ld(math.lgamma(w + 1))
             term_i = -chi * np.exp(-n * np.log(ld(mu)) - lg_n - lw) \
@@ -280,9 +285,10 @@ def _rate_distinct(config, beta, expansion):
         # e^{zmu} Gamma(d+1, zmu) for d = 0 .. J-1
         gs = [ld(upper_gamma_scaled(d + 1, zmu)) for d in range(big_j)]
         inv_mu = ld(1.0) / ld(mu)
+        seq = _ei_moment_sequence(big_j, a_in, b_in, alph)
         for p in range(big_j + 1):
             w = big_j - p
-            i_val, i_rel = _ei_moment_value(0, w, a_in, b_in, alph)
+            i_val, i_rel = _ei_moment_value(0, w, a_in, b_in, alph, seq)
             sign = ld(1.0) if w % 2 == 0 else ld(-1.0)
             lw = ld(math.lgamma(w + 1))
             term_i = -chi * inv_mu * np.exp(-lw) * sign * exp_b * ld(i_val)
@@ -340,7 +346,7 @@ def rate_exact(config, fading, expansion, user, cell, quality=None):
     return RateResult(value, "quadrature_fallback", cancellation_flagged=True)
 
 
-def rate_lower_bound(config, fading, expansion, user, cell, quality=None):
+def rate_lower_bound(config, fading, expansion, user, cell):
     """Jensen lower bound: log2(1 + p_u beta e^{psi(N-K+1) - E ln(p_u Z+1)})."""
     beta = fading.direct_gain(cell, user)
     nu = config.zf_shape
@@ -362,12 +368,13 @@ def cell_sum_rate(config, fading, cell, expansion, method="exact",
     Symmetric profiles (all users of the cell identical) are computed once
     and scaled by K.
     """
-    fn = {"exact": rate_exact, "bound": rate_lower_bound}[method]
+    fn = {"exact": partial(rate_exact, quality=quality),
+          "bound": rate_lower_bound}[method]
     beta_row = fading.beta[cell, cell, :]
     if np.all(beta_row == beta_row[0]):
-        return config.users_per_cell * fn(config, fading, expansion, 0, cell,
-                                          quality=quality).value
-    vals = [fn(config, fading, expansion, k, cell, quality=quality).value
+        return config.users_per_cell * fn(config, fading, expansion, 0,
+                                          cell).value
+    vals = [fn(config, fading, expansion, k, cell).value
             for k in range(config.users_per_cell)]
     return config.users_per_cell * float(np.mean(vals))
 

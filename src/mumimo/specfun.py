@@ -6,9 +6,11 @@ the logarithmic moment of an Erlang variable, and the exponential-integral
 moment kernel I_{m,n}(a, b, alpha) used by the exact-rate expression.
 
 Closed forms that involve alternating sums carry a running estimate of the
-cancellation they suffered; the public entry points silently switch to the
-adaptive-quadrature evaluation of the defining integral when that estimate
-is too large to trust in double precision.
+cancellation they suffered.  When that estimate is too large to trust in
+double precision, `ei_moment_kernel` switches to adaptive quadrature of its
+defining integral, while the log-moment kernel switches to an all-positive
+sum of exponential integrals and so never integrates numerically.  Tricomi
+U and the 2F0 reduction are evaluated from their integral representations.
 """
 
 import math
@@ -282,21 +284,49 @@ def log_moment_quadrature(n, mu, a, spec=_ORACLE_SPEC, normalized=False):
     return integrate_semi_infinite(f, 0.0, spec, scale=max(n * mu, mu))
 
 
+def _scaled_en_sum(n, z):
+    """sum_{k=1..n} e^z E_k(z) for z > 0, every term positive.
+
+    One continued fraction at k0 = min(n, max(1, floor(z))), then the
+    recurrence e^z E_{k+1} = (1 - z e^z E_k) / k, which is stable upward
+    for k >= z and, solved for E_k, downward for k < z.
+    """
+    k0 = min(n, max(1, int(z)))
+    f0 = expint_en_scaled(k0, z)
+    total = f0
+    f = f0
+    for k in range(k0 - 1, 0, -1):
+        f = (1.0 - k * f) / z
+        total += f
+    f = f0
+    for k in range(k0, n):
+        f = (1.0 - z * f) / k
+        total += f
+    return total
+
+
 def _log_moment_normalized(n, mu, a):
-    """E-based kernel / ((n-1)! mu^n); switches to quadrature when the
-    forward recurrence has cancelled too much."""
+    """E ln(1 + a X) for X ~ Gamma(n, mu), i.e. the kernel / ((n-1)! mu^n).
+
+    The forward recurrence serves while it amplifies its rounding error by
+    less than 1e6; beyond that the same value is the all-positive sum
+    e^z sum_{k<=n} E_k(z), z = 1/(a mu) (Alouini & Goldsmith, IEEE Trans.
+    Veh. Technol. 48(4), 1999), so no quadrature is needed.
+    """
     value, amp = _log_moment_normalized_closed(n, mu, a)
     if amp < 1e6 and math.isfinite(value):
         return value
-    return log_moment_quadrature(n, mu, a, normalized=True)
+    return _scaled_en_sum(n, (1.0 / float(mu)) / float(a))
 
 
 def log_moment_kernel(n, mu, a):
     """int_0^inf ln(1 + a z) z^{n-1} e^{-z/mu} dz for integer n >= 1.
 
     Equals Gamma(n+1) a mu^{n+1} 3F1(n+1, 1, 1; 2; -a mu); the 3F1 is never
-    summed directly (zero radius of convergence at negative argument), the
-    integral itself is the definition used here.
+    summed directly (zero radius of convergence at negative argument).
+    Evaluated as (n-1)! mu^n e^z sum_{k=1..n} E_k(z), z = 1/(a mu), by the
+    forward recurrence or, where that cancels, by the all-positive sum;
+    `log_moment_quadrature` is the independent check.
     """
     n = _check_int(n, "n", 1)
     if mu <= 0:
@@ -314,31 +344,15 @@ def log_moment_kernel(n, mu, a):
 #   = int_0^inf x^m (a x + b)^n e^{-alpha x} Ei(-(a x + b)) dx
 # ---------------------------------------------------------------------------
 
-def _kp(p, al, mu, ei_al):
-    """K_p(al, mu) = boundary + incomplete-gamma tail of the recursion.
-    Returns (value, sum of |contributions|)."""
-    ld = np.longdouble
-    t1 = np.exp(ld(-al * mu)) * ld(al) ** p / ld(mu) * ld(ei_al)
-    # running term: q! C(p-1,q) al^{p-q-1} / (mu+1)^{q+1}
-    term = ld(al) ** (p - 1) / ld(mu + 1.0)
-    acc = term
-    for q in range(1, p):
-        term = term * ld(p - q) / (ld(al) * ld(mu + 1.0))
-        acc += term
-    t2 = np.exp(ld(-al * (mu + 1.0))) / ld(mu) * acc
-    return t1 + t2, abs(t1) + abs(t2)
+def _ei_moment_sequence(pmax, a, b, alpha):
+    """J_0 .. J_pmax of the J_p/K_p integration-by-parts recursion, with the
+    same recursion run on absolute values.  Returns (js, js_abs).
 
-
-def _ei_moment_closed(m, n, a, b, alpha):
-    """Closed form via the J_p/K_p integration-by-parts recursion.
-
-    Returns (value, cancellation_estimate).  Evaluated in extended
-    precision; the estimate mirrors the recursion on absolute values, so
-    the step-by-step error amplification J_p <- (p/mu) J_{p-1} is counted.
+    The sequence depends on (a, b, alpha) only, so every I_{m,n} with
+    m + n <= pmax reads a prefix of it.
     """
     ld = np.longdouble
     mu = alpha / a
-    pmax = n + m
     ei_b = expint_ei(-b)
     arg2 = (mu + 1.0) * b
     ei_2 = expint_ei(-float(arg2)) if arg2 < 700 else 0.0
@@ -349,13 +363,41 @@ def _ei_moment_closed(m, n, a, b, alpha):
     j_abs = (abs(ld(ei_2)) + np.exp(ld(-b * mu)) * abs(ld(ei_b))) / ld(mu)
     js = [j]
     js_abs = [j_abs]
+    # J_p = K_p + (p/mu) J_{p-1} with the boundary-plus-tail term
+    #   K_p = e^{-b mu} b^p Ei(-b) / mu + e^{-b (mu+1)} acc_p / mu,
+    #   acc_p = sum_{q<p} q! C(p-1, q) b^{p-q-1} / (mu+1)^{q+1},
+    # and acc_p = ((p-1) acc_{p-1} + b^{p-1}) / (mu+1), acc_0 = 0
+    b_ld = ld(b)
+    mu1 = ld(mu + 1.0)
+    t1_scale = np.exp(ld(-b * mu)) / ld(mu) * ld(ei_b)
+    t2_scale = np.exp(ld(-b * (mu + 1.0))) / ld(mu)
+    acc = ld(0.0)
+    b_pow = ld(1.0)  # b^{p-1}
     for p in range(1, pmax + 1):
-        k_val, k_abs = _kp(p, b, float(mu), ei_b)
+        acc = (ld(p - 1) * acc + b_pow) / mu1
+        b_pow = b_ld ** p
+        t1 = t1_scale * b_pow
+        t2 = t2_scale * acc
         gain = ld(p) / ld(mu)
-        j = k_val + gain * j
-        j_abs = k_abs + gain * j_abs
+        j = t1 + t2 + gain * j
+        j_abs = abs(t1) + abs(t2) + gain * j_abs
         js.append(j)
         js_abs.append(j_abs)
+    return js, js_abs
+
+
+def _ei_moment_closed(m, n, a, b, alpha, seq=None):
+    """Closed form via the J_p/K_p integration-by-parts recursion.
+
+    Returns (value, cancellation_estimate).  Evaluated in extended
+    precision; the estimate mirrors the recursion on absolute values, so
+    the step-by-step error amplification J_p <- (p/mu) J_{p-1} is counted.
+    `seq` is a `_ei_moment_sequence(pmax, a, b, alpha)` result with
+    pmax >= m + n; without it the sequence is built here.
+    """
+    ld = np.longdouble
+    js, js_abs = seq if seq is not None else _ei_moment_sequence(
+        n + m, a, b, alpha)
 
     total = ld(0.0)
     outer_abs = ld(0.0)

@@ -61,6 +61,7 @@ def test_criterion_01_scenario1_sum_rates():
     report(1, checks)
 
 
+@pytest.mark.slow
 def test_criterion_02_rate_vs_oracles():
     """rate_exact vs Monte Carlo (2 SE at 1e4 trials) and vs 2-D quadrature
     (1e-6 relative) over 10 configurations."""
@@ -84,6 +85,7 @@ def test_criterion_02_rate_vs_oracles():
     report(2, checks)
 
 
+@pytest.mark.slow
 def test_criterion_03_sinr_model_ks():
     """Two-sample KS between matrix Monte Carlo and model sampling,
     n = 1e5 each, 1% significance, 5 random configurations."""
@@ -148,6 +150,7 @@ def test_criterion_04_bound_behavior():
     report(4, checks)
 
 
+@pytest.mark.slow
 def test_criterion_05_ser_floor_and_approx():
     """Floor at 60 dB within 1% for N in {15, 20}; three-point
     approximation within 5% across the figure SNR grid.  The N=20 approx

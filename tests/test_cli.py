@@ -242,6 +242,24 @@ def test_fading_file_key(tmp_path):
     assert float(rows[0]["rate_per_user"]) == want
 
 
+@pytest.mark.parametrize("argv, mode", [
+    (["asymptotic"], "asymptotic"), (["dof"], "dof"),
+    (["scenario2"], "scenario2"), (["figure", "4"], "dof"),
+    (["figure", "7"], "scenario2"), (["figure", "table1"], "scenario2"),
+])
+def test_fading_file_rejected_where_unused(tmp_path, capsys, argv, mode):
+    from mumimo.fading import save_fading_text
+    path = tmp_path / "beta.txt"
+    save_fading_text(symmetric_fading(2, 3, 1.0, 0.2), path)
+    out = tmp_path / "o"
+    code = cli.main(argv + ["--out", str(out), "--set", f"fading_file={path}",
+                            "--set", "cells=2", "--set", "users=3"])
+    assert code == 2
+    assert f"fading_file is not used by mode {mode!r}" in capsys.readouterr().err
+    # run_experiment / run_figure raise before any point is computed
+    assert not out.exists() or not os.listdir(out)
+
+
 def readme_schema():
     """mode -> column list, read from README's CSV schema table."""
     path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")

@@ -160,6 +160,40 @@ def test_cell_sum_rate_symmetric_shortcut():
     total = cf.cell_sum_rate(cfg, fad, 0, exp)
     single = cf.rate_exact(cfg, fad, exp, 0, 0).value
     np.testing.assert_allclose(total, 10 * single, rtol=1e-12)
+    # the log goes to the exact rate only; the bound has no fallback
+    bound = cf.cell_sum_rate(cfg, fad, 0, exp, method="bound",
+                             quality=cf.QualityLog())
+    assert bound == 10 * cf.rate_lower_bound(cfg, fad, exp, 0, 0).value
+
+
+@pytest.mark.parametrize("rate_fn, system", [
+    (cf._rate_general, lambda: scenario1(30, 0.1)),
+    (cf._rate_distinct,
+     lambda: random_distinct_system(np.random.default_rng(5), n_extra=30)),
+])
+def test_rate_sums_build_one_ei_moment_sequence_per_term(monkeypatch,
+                                                         rate_fn, system):
+    cfg, fad, exp = system()
+    sequences, kernels = [], []
+    build, closed = cf._ei_moment_sequence, cf._ei_moment_closed
+
+    def counted_build(*args):
+        sequences.append(args)
+        return build(*args)
+
+    def counted_closed(*args, **kwargs):
+        kernels.append(args)
+        return closed(*args, **kwargs)
+
+    monkeypatch.setattr(cf, "_ei_moment_sequence", counted_build)
+    monkeypatch.setattr(cf, "_ei_moment_closed", counted_closed)
+    value, _, _ = rate_fn(cfg, fad.direct_gain(0, 0), exp)
+    assert math.isfinite(value)
+    terms = sum(1 for _, _, chi in exp.terms_hi() if chi != 0.0)
+    big_j = cfg.zf_shape - 1
+    assert len(sequences) == terms
+    # one kernel per (term, w = J .. 0), each reading its term's sequence
+    assert len(kernels) == terms * (big_j + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -267,6 +267,60 @@ def test_log_moment_closed_equals_quadrature(n, mu, a):
                                rtol=1e-9)
 
 
+# (n, z = 1/(a mu)) grid over which the forward recurrence is tested for
+# amplification; mu is fixed and a = 1/(z mu)
+LOG_MOMENT_GRID = [(n, z) for n in (1, 2, 5, 10, 30, 100, 300, 500)
+                   for z in (1.0, 1.5, 3.7, 10.0, 33.3, 100.0, 250.0, 499.5,
+                             1e3, 5e3, 1e4)]
+LOG_MOMENT_MU = 0.5
+
+
+def test_log_moment_positive_sum_matches_quadrature_where_recurrence_fails():
+    checked = 0
+    for n, z in LOG_MOMENT_GRID:
+        a = 1.0 / (z * LOG_MOMENT_MU)
+        value, amp = sf._log_moment_normalized_closed(n, LOG_MOMENT_MU, a)
+        if amp < 1e6 and math.isfinite(value):
+            continue
+        checked += 1
+        np.testing.assert_allclose(
+            sf._log_moment_normalized(n, LOG_MOMENT_MU, a),
+            sf.log_moment_quadrature(n, LOG_MOMENT_MU, a, normalized=True),
+            rtol=1e-10)
+    assert checked >= 30
+
+
+def test_log_moment_needs_no_quadrature(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("log-moment kernel ran a quadrature")
+
+    monkeypatch.setattr(sf, "integrate_semi_infinite", refuse)
+    for n, z in LOG_MOMENT_GRID:
+        a = 1.0 / (z * LOG_MOMENT_MU)
+        assert sf._log_moment_normalized(n, LOG_MOMENT_MU, a) > 0.0
+
+
+def test_scaled_en_sum_matches_mpmath():
+    mp = pytest.importorskip("mpmath")
+
+    def oracle(n, z):
+        # e^z sum_{k<=n} E_k(z) = int_0^inf e^-v (1 - (1 + v/z)^-n) / v dv
+        with mp.workdps(30):
+            z = mp.mpf(z)
+
+            def f(v):
+                if v == 0:
+                    return n / z
+                return -mp.exp(-v) * mp.expm1(-n * mp.log1p(v / z)) / v
+
+            return float(mp.quad(f, [0, min(z, 1), 1, 10, 40, mp.inf]))
+
+    for n in (1, 5, 30, 100, 500):
+        for z in (0.01, 0.5, 1.0, 3.7, 33.3, 250.0, 1e4):
+            np.testing.assert_allclose(sf._scaled_en_sum(n, z),
+                                       oracle(n, z), rtol=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # Ei-moment kernel I_{m,n}(a, b, alpha)
 # ---------------------------------------------------------------------------
@@ -307,6 +361,59 @@ def test_ei_moment_falls_back_when_recursion_cancels():
     np.testing.assert_allclose(sf.ei_moment_kernel(m, n, a, b, alpha),
                                sf.ei_moment_quadrature(m, n, a, b, alpha),
                                rtol=1e-8)
+
+
+def ei_moment_sequence_from_scratch(pmax, a, b, alpha):
+    """The J_p recursion with every K_p summed term by term from q = 0, as
+    the sequence was first written (O(p) work per K_p)."""
+    ld = np.longdouble
+    mu = alpha / a
+    ei_b = sf.expint_ei(-b)
+    arg2 = (mu + 1.0) * b
+    ei_2 = sf.expint_ei(-float(arg2)) if arg2 < 700 else 0.0
+    j = (-ld(ei_2) + np.exp(ld(-b * mu)) * ld(ei_b)) / ld(mu)
+    j_abs = (abs(ld(ei_2)) + np.exp(ld(-b * mu)) * abs(ld(ei_b))) / ld(mu)
+    js, js_abs = [j], [j_abs]
+    for p in range(1, pmax + 1):
+        t1 = np.exp(ld(-b * mu)) * ld(b) ** p / ld(mu) * ld(ei_b)
+        term = ld(b) ** (p - 1) / ld(mu + 1.0)
+        acc = term
+        for q in range(1, p):
+            term = term * ld(p - q) / (ld(b) * ld(mu + 1.0))
+            acc += term
+        t2 = np.exp(ld(-b * (mu + 1.0))) / ld(mu) * acc
+        gain = ld(p) / ld(mu)
+        j = t1 + t2 + gain * j
+        j_abs = abs(t1) + abs(t2) + gain * j_abs
+        js.append(j)
+        js_abs.append(j_abs)
+    return js, js_abs
+
+
+@pytest.mark.parametrize("b", [0.1, 10.0, 50.0])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 9.0, 30.0])
+def test_ei_moment_shared_sequence_matches_recursion_from_scratch(b, alpha):
+    # (m, n) as the rate sums use them: m = multiplicity - 1 <= 29,
+    # n = w <= N - K = 490
+    a = 1.0
+    grid = [(m, n) for m in (0, 1, 9, 29) for n in (0, 1, 5, 20, 70, 200, 490)]
+    pmax = max(m + n for m, n in grid)
+    shared = sf._ei_moment_sequence(pmax, a, b, alpha)
+    scratch = ei_moment_sequence_from_scratch(pmax, a, b, alpha)
+    eps_ld = float(np.finfo(np.longdouble).eps)
+    for m, n in grid:
+        own = sf._ei_moment_closed(m, n, a, b, alpha)
+        # reading a prefix of a longer sequence changes nothing
+        assert sf._ei_moment_closed(m, n, a, b, alpha, seq=shared) == own
+        # the two K_p evaluations round differently in extended precision;
+        # the recursion amplifies that by its own condition estimate
+        want = sf._ei_moment_closed(m, n, a, b, alpha, seq=scratch)
+        if not math.isfinite(want[0]):
+            # past double range both are rejected; the sign is noise
+            assert not math.isfinite(own[0]) and own[1] == math.inf
+            continue
+        rtol = 1e-15 + 16 * eps_ld * want[1]
+        np.testing.assert_allclose(own, want, rtol=rtol, atol=0.0)
 
 
 def test_ei_moment_domain():
