@@ -13,16 +13,17 @@ the caller's QualityLog.
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
 
 from .quadrature import QuadratureSpec, integrate, integrate_semi_infinite
-from .sinrdist import make_sinr_model, mgf_sinr, mgf_sinr_high_snr
+from .sinrdist import (InterferencePowerDist, make_sinr_model, mgf_sinr,
+                       mgf_sinr_high_snr, pdf_z)
 from .specfun import (_ei_moment_closed, _ei_moment_sequence,
                       _log_moment_normalized, digamma_int,
-                      ei_moment_quadrature, tricomi_u, upper_gamma_scaled)
+                      ei_moment_quadrature, tricomi_u)
 
 __all__ = [
     "ModulationScheme",
@@ -67,7 +68,9 @@ class ModulationScheme:
 @dataclass(frozen=True)
 class RateResult:
     value: float  # bits/s/Hz
-    method: str   # exact_general | exact_distinct | lower_bound | quadrature_fallback
+    # exact_general (exact_distinct when every eigenvalue is simple; same
+    # formula) | lower_bound | quadrature_fallback
+    method: str
     cancellation_flagged: bool = False
 
 
@@ -112,30 +115,15 @@ def rate_by_quadrature(config, fading, expansion, user, cell,
         return _rate_no_interference(config, beta)
     nu = config.zf_shape
     p_u = config.transmit_snr
-    dist_mean = float(np.sum(expansion.rates()))
+    dist = InterferencePowerDist(expansion)
 
     def f(z):
-        a = p_u / (p_u * z + 1.0)
-        inner = _log_moment_normalized(nu, beta, a)
-        return inner * _pdf_z_expansion(expansion, z)
+        a = p_u / (p_u * np.asarray(z, dtype=float) + 1.0)
+        inner = [_log_moment_normalized(nu, beta, v) for v in a.flat]
+        return np.reshape(inner, a.shape) * pdf_z(dist, z)
 
-    val = integrate_semi_infinite(f, 0.0, spec, scale=max(dist_mean, 1.0))
+    val = integrate_semi_infinite(f, 0.0, spec, scale=max(dist.mean, 1.0))
     return LOG2E * val
-
-
-def _pdf_z_expansion(expansion, z):
-    if z < 0:
-        return 0.0
-    total = np.longdouble(0.0)
-    for mu, n, chi in expansion.terms_hi():
-        if z == 0:
-            if n == 1:
-                total += chi / mu
-            continue
-        total += chi * np.exp(-np.longdouble(z) / mu
-                              + (n - 1) * np.log(np.longdouble(z) / mu)
-                              - np.longdouble(math.lgamma(n))) / mu
-    return float(total)
 
 
 def _rate_terms_representable(n, big_j, zmu, mu0, a_in, b_in, alph):
@@ -167,7 +155,8 @@ def _rate_terms_representable(n, big_j, zmu, mu0, a_in, b_in, alph):
 
 _EPS_LD = float(np.finfo(np.longdouble).eps)
 _EI_MOMENT_INNER_LIMIT = 1e6   # beyond this, a quadrature I-value is cheaper/safer
-_U_RELERR = 1e-11           # tricomi_u quadrature tolerance
+_QUAD_RELERR = 1e-11        # ei_moment_quadrature tolerance
+_U_RELERR = 1e-14           # terminating Tricomi-U sum of positive terms
 _RATE_RELERR_LIMIT = 1e-6   # accepted propagated error of the closed rate
 
 
@@ -182,7 +171,7 @@ def _ei_moment_value(m, n, a, b, alpha, seq):
     if math.isfinite(val) and cond <= _EI_MOMENT_INNER_LIMIT:
         return val, max(cond * 2.3e-16, 1e-16)
     try:
-        return ei_moment_quadrature(m, n, a, b, alpha), _U_RELERR
+        return ei_moment_quadrature(m, n, a, b, alpha), _QUAD_RELERR
     except OverflowError:
         # the kernel itself exceeds double range; poison the sum so the
         # caller switches to its own quadrature path
@@ -190,12 +179,13 @@ def _ei_moment_value(m, n, a, b, alpha, seq):
 
 
 def _rate_general(config, beta, expansion):
-    """General exact rate, valid for arbitrary eigenvalue multiplicities.
+    """Exact rate for arbitrary eigenvalue multiplicities, all-distinct
+    included.
 
     Returns (value, condition, propagated relative error).  Per (m, n) term
     the inner structure is
       -e^{1/(beta p_u)} I_{n-1, w}(1/beta, 1/(beta p_u), 1/mu - 1/beta)
-      + q-sum of Tricomi-U values,
+      + q-sum of Tricomi-U values U(n, n+d+1, 1/(mu p_u)),
     summed over w = N-K-p with alternating binomial weights.  Inner-kernel
     error estimates are propagated so that cancellation in either layer is
     visible to the guard.
@@ -256,86 +246,20 @@ def _rate_general(config, beta, expansion):
     return value, float(total_abs / abs(total)), float(err / abs(total))
 
 
-def _rate_distinct(config, beta, expansion):
-    """Distinct-eigenvalue specialization: the q-sum reduces to scaled upper
-    incomplete gammas instead of Tricomi U.  Returns (value, condition,
-    propagated relative error)."""
-    nu = config.zf_shape
-    big_j = nu - 1
-    p_u = config.transmit_snr
-    a_in = 1.0 / beta
-    b_in = 1.0 / (beta * p_u)
-    ld = np.longdouble
-    exp_b = np.exp(ld(b_in))
-    total = ld(0.0)
-    total_abs = ld(0.0)
-    err = ld(0.0)
-    for mu, n, chi in expansion.terms_hi():
-        if chi == 0.0:
-            continue
-        alph = 1.0 / float(mu) - 1.0 / beta
-        if alph <= 0:
-            return math.nan, math.inf, math.inf
-        zmu = 1.0 / (float(mu) * p_u)
-        if big_j >= 1 and math.lgamma(big_j) + max(0.0, zmu) > 690.0:
-            return math.nan, math.inf, math.inf  # gammas exceed double range
-        if not _rate_terms_representable(1, big_j, zmu, alph / a_in,
-                                         a_in, b_in, alph):
-            return math.nan, math.inf, math.inf
-        # e^{zmu} Gamma(d+1, zmu) for d = 0 .. J-1
-        gs = [ld(upper_gamma_scaled(d + 1, zmu)) for d in range(big_j)]
-        inv_mu = ld(1.0) / ld(mu)
-        seq = _ei_moment_sequence(big_j, a_in, b_in, alph)
-        for p in range(big_j + 1):
-            w = big_j - p
-            i_val, i_rel = _ei_moment_value(0, w, a_in, b_in, alph, seq)
-            sign = ld(1.0) if w % 2 == 0 else ld(-1.0)
-            lw = ld(math.lgamma(w + 1))
-            term_i = -chi * inv_mu * np.exp(-lw) * sign * exp_b * ld(i_val)
-            total += term_i
-            total_abs += abs(term_i)
-            err += abs(term_i) * ld(i_rel)
-            qacc = ld(0.0)
-            qabs = ld(0.0)
-            for d in range(w):
-                # q = w - d: (q-1)! (-1)^q beta^{-d} mu^{d+1} e^z Gamma(d+1, z)
-                piece = np.exp(ld(math.lgamma(w - d)) - lw
-                               - d * np.log(ld(beta))
-                               + (d + 1) * np.log(ld(mu))) * gs[d]
-                if (w - d) % 2 == 1:
-                    piece = -piece
-                qacc += piece
-                qabs += abs(piece)
-            # (-1)^w prefactor times the (-1)^{w-d} inner signs gives (-1)^d
-            total += chi * inv_mu * sign * qacc
-            total_abs += abs(chi) * inv_mu * qabs
-            err += abs(chi) * inv_mu * qabs * ld(1e-14)
-    err += total_abs * ld(_EPS_LD)
-    value = float(total) * LOG2E
-    if not math.isfinite(value) or value <= 0.0 or total == 0.0:
-        return value, math.inf, math.inf
-    return value, float(total_abs / abs(total)), float(err / abs(total))
-
-
 def rate_exact(config, fading, expansion, user, cell, quality=None):
     """Exact ergodic uplink rate of one user, in bits/s/Hz.
 
-    Uses the distinct-eigenvalue specialization when every eigenvalue is
-    simple, the general formula otherwise, and the quadrature arbiter when
-    the sums are too ill-conditioned (large N - K) or an eigenvalue exceeds
-    the direct gain.
+    Uses the general formula (labelled `exact_distinct` when every
+    eigenvalue is simple), and the quadrature arbiter when the sums are too
+    ill-conditioned (large N - K) or an eigenvalue exceeds the direct gain.
     """
     beta = fading.direct_gain(cell, user)
     if expansion.is_empty:
         return RateResult(_rate_no_interference(config, beta),
                           "exact_general")
-    distinct = bool(np.all(expansion.tau == 1))
-    if distinct:
-        value, cond, rel_err = _rate_distinct(config, beta, expansion)
-        method = "exact_distinct"
-    else:
-        value, cond, rel_err = _rate_general(config, beta, expansion)
-        method = "exact_general"
+    value, cond, rel_err = _rate_general(config, beta, expansion)
+    method = ("exact_distinct" if np.all(expansion.tau == 1)
+              else "exact_general")
     if (math.isfinite(value) and cond <= _CANCEL_LIMIT
             and rel_err <= _RATE_RELERR_LIMIT):
         return RateResult(value, method)
@@ -457,16 +381,6 @@ def ser_approx(config, fading, expansion, modulation, user, cell,
 # outage probability
 # ---------------------------------------------------------------------------
 
-def _outage_inner(nu, mu, n, c, d, big_j):
-    """Vector A_q = c^q Gamma(n+q) mu^-n / ((n-1)! q! d^{n+q}), q = 0..J."""
-    a = np.empty(big_j + 1, dtype=np.longdouble)
-    a[0] = np.exp(-np.longdouble(n) * (np.log(np.longdouble(mu))
-                                       + np.log(np.longdouble(d))))
-    for q in range(big_j):
-        a[q + 1] = a[q] * c * (n + q) / ((q + 1) * d)
-    return a
-
-
 def outage_exact(config, fading, expansion, user, cell, gamma_th):
     """P{gamma <= gamma_th}: exact finite-sum outage probability."""
     if gamma_th <= 0:
@@ -491,7 +405,11 @@ def outage_exact(config, fading, expansion, user, cell, gamma_th):
         if chi == 0.0:
             continue
         d = 1.0 / float(mu) + c
-        a = _outage_inner(config.zf_shape, float(mu), n, c, d, big_j)
+        # A_q = c^q Gamma(n+q) mu^-n / ((n-1)! q! d^{n+q}), q = 0..J
+        a = np.empty(big_j + 1, dtype=ld)
+        a[0] = np.exp(-ld(n) * (np.log(mu) + np.log(ld(d))))
+        for q in range(big_j):
+            a[q + 1] = a[q] * c * (n + q) / ((q + 1) * d)
         s_a = np.cumsum(a)
         inner = np.sum(b * s_a[::-1])
         total += chi * inner
@@ -500,20 +418,8 @@ def outage_exact(config, fading, expansion, user, cell, gamma_th):
 
 
 def outage_small_threshold(config, fading, expansion, user, cell, gamma_th):
-    """Small-threshold / high-SNR outage asymptote (keeps only p = q terms);
-    independent of the transmit power."""
-    if gamma_th <= 0:
-        return 0.0
-    beta = fading.direct_gain(cell, user)
-    if expansion.is_empty:
-        return 0.0  # no interference: outage vanishes as p_u -> infinity
-    big_j = config.zf_shape - 1
-    c = gamma_th / beta
-    total = np.longdouble(0.0)
-    for mu, n, chi in expansion.terms_hi():
-        if chi == 0.0:
-            continue
-        d = 1.0 / float(mu) + c
-        a = _outage_inner(config.zf_shape, float(mu), n, c, d, big_j)
-        total += chi * np.sum(a)
-    return min(1.0, max(0.0, 1.0 - float(total)))
+    """Small-threshold / high-SNR outage asymptote: `outage_exact` at
+    1/p_u = 0, where only the p = q terms survive; independent of the
+    transmit power."""
+    return outage_exact(replace(config, transmit_snr=math.inf), fading,
+                        expansion, user, cell, gamma_th)

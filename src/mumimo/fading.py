@@ -28,6 +28,9 @@ __all__ = [
 CLUSTER_TOL = 1e-12
 # Distinct eigenvalues closer than this make the expansion ill-conditioned.
 NEAR_DEGENERATE_TOL = 1e-6
+# The coefficients sum to 1 (the MGF at s = 0); a larger miss means the
+# expansion has lost its accuracy.
+COEFFICIENT_SUM_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -241,6 +244,12 @@ def characteristic_coefficients(profile):
                               * c[k - 1::-1]) / k
         # chi_{m,n} = c_{tau_m - n}
         chi.append(c[::-1].copy())
+    miss = float(sum(np.sum(c) for c in chi) - ld(1.0))
+    if not abs(miss) <= COEFFICIENT_SUM_TOL:
+        warnings.warn(
+            f"partial-fraction coefficients sum to 1 {miss:+.2e}; the "
+            "expansion has lost its accuracy and the closed forms built on "
+            "it are unreliable", RuntimeWarning)
     return CharacteristicExpansion(mu.copy(), tau.copy(),
                                    tuple(c.astype(float) for c in chi),
                                    tuple(chi))

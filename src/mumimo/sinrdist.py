@@ -9,7 +9,7 @@ simulation.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -176,7 +176,7 @@ def _mgf_closed(model, s):
     nu = model.desired.shape
     beta = model.desired.scale
     cp = beta * s + 1.0 / model.p_u
-    ratio = -beta * s / cp
+    ratio = -beta * s / cp  # -1 in the high-SNR limit 1/p_u = 0
     # skip a little before the guard itself would reject: near the
     # boundary the per-term evaluation is pure wasted work
     if nu * math.log1p(abs(ratio)) > math.log(_CANCEL_LIMIT / 100.0):
@@ -250,61 +250,8 @@ def mgf_sinr(model, s, quality=None):
 
 
 def mgf_sinr_high_snr(model, s, quality=None):
-    """MGF of the p_u -> infinity SINR limit X/Z (every 1/p_u dropped)."""
-    if s < 0:
-        raise ValueError("mgf_sinr_high_snr requires s >= 0")
-    if s == 0:
-        return 1.0
-    if model.interference.is_zero:
-        return 0.0  # X/Z diverges without interference
-    nu = model.desired.shape
-    beta = model.desired.scale
-    ld = np.longdouble
-    distinct = bool(np.all(model.interference.expansion.tau == 1))
-    # high-SNR ratio is -1: the binomial sum totals at least 2^nu
-    skip_closed = nu * math.log(2.0) > math.log(_CANCEL_LIMIT)
-    total = ld(0.0)
-    total_abs = ld(0.0)
-    for mu, n, chi in model.interference.expansion.terms_hi():
-        if skip_closed:
-            break
-        if chi == 0.0:
-            continue
-        lbin = ld(0.0)
-        for p in range(nu + 1):
-            if p > 0:
-                lbin += np.log(ld(nu - p + 1)) - np.log(ld(p))
-            if distinct:
-                zz = beta * s / float(mu)
-                f = ld(zz) * ld(expint_en_scaled(p, zz))
-            else:
-                f = ld(hyp2f0_neg(n, p, float(mu) / (beta * s)))
-            term = np.exp(lbin) * chi * f
-            if p % 2 == 1:
-                term = -term
-            total += term
-            total_abs += abs(term)
-    value = float(total)
-    cond = math.inf if (skip_closed or value == 0.0) \
-        else float(total_abs) / abs(value)
-    if cond < _CANCEL_LIMIT and math.isfinite(value):
-        return min(1.0, max(0.0, value))
-    if quality is not None:
-        quality.flag(f"mgf_sinr_high_snr(s={s:g}): cancellation guard "
-                     f"tripped (condition {cond:.3g}); used quadrature")
-    # limit of the 1-D integral with 1/p_u dropped
-    dist = model.interference
-
-    def f(z):
-        z = np.asarray(z, dtype=float)
-        with np.errstate(divide="ignore"):
-            vals = np.where(z > 0, pdf_z(dist, z) * np.exp(
-                nu * (np.log(np.maximum(z, 1e-300))
-                      - np.log(z + beta * s))), 0.0)
-        return vals if np.ndim(z) else float(vals)
-
-    return min(1.0, max(0.0, integrate_semi_infinite(
-        f, 0.0, _MGF_SPEC, scale=max(dist.mean, beta * s))))
+    """MGF of the p_u -> infinity SINR limit X/Z: `mgf_sinr` at 1/p_u = 0."""
+    return mgf_sinr(replace(model, p_u=math.inf), s, quality=quality)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,11 @@ moment kernel I_{m,n}(a, b, alpha) used by the exact-rate expression.
 Closed forms that involve alternating sums carry a running estimate of the
 cancellation they suffered.  When that estimate is too large to trust in
 double precision, `ei_moment_kernel` switches to adaptive quadrature of its
-defining integral, while the log-moment kernel switches to an all-positive
-sum of exponential integrals and so never integrates numerically.  Tricomi
-U and the 2F0 reduction are evaluated from their integral representations.
+defining integral.  The log-moment kernel is an all-positive sum of
+exponential integrals, and Tricomi U(a, a+m+1, z) with m >= 0 (the only U
+the rate needs) a terminating all-positive sum, so neither integrates
+numerically.  Other Tricomi U and the 2F0 reduction are evaluated from
+their integral representations.
 """
 
 import math
@@ -181,17 +183,38 @@ def digamma_int(n):
     return -EULER_GAMMA + sum(1.0 / k for k in range(1, n))
 
 
+def _tricomi_u_terminating(a, m, z):
+    """U(a, a+m+1, z) = z^-a sum_{k<=m} C(m,k) (a)_k z^-k (DLMF 13.2.8).
+
+    Every term is positive; term k+1 is term k times (m-k)(a+k)/((k+1) z).
+    """
+    term = total = 1.0
+    for k in range(m):
+        term *= (m - k) * (a + k) / ((k + 1) * z)
+        total += term
+    log_pref = -a * math.log(z)
+    if abs(log_pref) < 700.0:
+        return total * z ** -a
+    log_value = math.log(total) + log_pref
+    return math.inf if log_value > 709.0 else math.exp(log_value)
+
+
 def tricomi_u(a, b, z, spec=_ORACLE_SPEC):
     """Confluent hypergeometric U(a, b, z) for integer a >= 1, integer b, z > 0.
 
-    Evaluated from the integral representation
+    From the integral representation
     U = (1/Gamma(a)) int_0^inf e^{-zt} t^{a-1} (1+t)^{b-a-1} dt,
-    which converges for every integer b once a >= 1.
+    which converges for every integer b once a >= 1.  When m = b - a - 1
+    >= 0, expanding (1+t)^m binomially makes it the terminating sum
+    z^-a sum_{k<=m} C(m,k) (a)_k z^-k of positive terms; for a = 1 that is
+    z^{-m-1} e^z Gamma(m+1, z).  Any other b is integrated numerically.
     """
     a = _check_int(a, "a", 1)
     b = _check_int(b, "b", -(10 ** 9))
     if z <= 0:
         raise ValueError(f"tricomi_u requires z > 0, got {z}")
+    if b - a - 1 >= 0:
+        return _tricomi_u_terminating(a, b - a - 1, z)
     lg = math.lgamma(a)
     c1 = a - 1.0
     c2 = b - a - 1.0
@@ -250,26 +273,6 @@ def hyp2f0_neg(n, p, x):
 # log-moment kernel: int_0^inf ln(1+a z) z^{n-1} e^{-z/mu} dz
 # ---------------------------------------------------------------------------
 
-def _log_moment_normalized_closed(n, mu, a):
-    """Closed form of the kernel divided by (n-1)! mu^n, with a cancellation
-    estimate.  Returns (value, amplification)."""
-    c = 1.0 / float(mu)
-    a = float(a)
-    s = c / a  # = 1/(a mu)
-    t = expint_e1_scaled(s) / a
-    total = t
-    amp = 1.0
-    for j in range(1, n):
-        frac = c * t
-        denom = abs(1.0 - frac)
-        if denom == 0.0 or amp * frac / denom > 1e12:
-            return math.nan, math.inf  # recurrence has cancelled away
-        amp = max(amp, amp * frac / denom + 1.0)
-        t = (1.0 - frac) / (a * j)
-        total += t
-    return a * total, amp
-
-
 def log_moment_quadrature(n, mu, a, spec=_ORACLE_SPEC, normalized=False):
     """Adaptive-quadrature evaluation of the log-moment integral."""
     n = _check_int(n, "n", 1)
@@ -308,14 +311,10 @@ def _scaled_en_sum(n, z):
 def _log_moment_normalized(n, mu, a):
     """E ln(1 + a X) for X ~ Gamma(n, mu), i.e. the kernel / ((n-1)! mu^n).
 
-    The forward recurrence serves while it amplifies its rounding error by
-    less than 1e6; beyond that the same value is the all-positive sum
-    e^z sum_{k<=n} E_k(z), z = 1/(a mu) (Alouini & Goldsmith, IEEE Trans.
-    Veh. Technol. 48(4), 1999), so no quadrature is needed.
+    Equals the all-positive sum e^z sum_{k<=n} E_k(z), z = 1/(a mu)
+    (Alouini & Goldsmith, IEEE Trans. Veh. Technol. 48(4), 1999), so no
+    quadrature and no cancelling recurrence is needed.
     """
-    value, amp = _log_moment_normalized_closed(n, mu, a)
-    if amp < 1e6 and math.isfinite(value):
-        return value
     return _scaled_en_sum(n, (1.0 / float(mu)) / float(a))
 
 
@@ -324,9 +323,8 @@ def log_moment_kernel(n, mu, a):
 
     Equals Gamma(n+1) a mu^{n+1} 3F1(n+1, 1, 1; 2; -a mu); the 3F1 is never
     summed directly (zero radius of convergence at negative argument).
-    Evaluated as (n-1)! mu^n e^z sum_{k=1..n} E_k(z), z = 1/(a mu), by the
-    forward recurrence or, where that cancels, by the all-positive sum;
-    `log_moment_quadrature` is the independent check.
+    Evaluated as (n-1)! mu^n e^z sum_{k=1..n} E_k(z), z = 1/(a mu), a sum
+    of positive terms; `log_moment_quadrature` is the independent check.
     """
     n = _check_int(n, "n", 1)
     if mu <= 0:

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from mumimo import closedform as cf
 from mumimo import sinrdist as sd
+from mumimo import specfun
 from mumimo.fading import (CharacteristicExpansion, LargeScaleFading,
                            SystemConfig, build_profile,
                            characteristic_coefficients, symmetric_fading)
@@ -94,16 +96,6 @@ def test_rate_exact_matches_2d_quadrature_random_configs():
         np.testing.assert_allclose(res.value, ref, rtol=1e-6)
 
 
-def test_rate_general_equals_distinct_specialization():
-    rng = np.random.default_rng(99)
-    for _ in range(5):
-        cfg, fad, exp = random_distinct_system(rng)
-        beta = fad.direct_gain(0, 0)
-        vg, _, _ = cf._rate_general(cfg, beta, exp)
-        vd, _, _ = cf._rate_distinct(cfg, beta, exp)
-        np.testing.assert_allclose(vg, vd, rtol=1e-8)
-
-
 def test_rate_no_interference_matches_quadrature():
     cfg = SystemConfig(1, 10, 20, 10.0)
     fad = symmetric_fading(1, 10)
@@ -166,13 +158,12 @@ def test_cell_sum_rate_symmetric_shortcut():
     assert bound == 10 * cf.rate_lower_bound(cfg, fad, exp, 0, 0).value
 
 
-@pytest.mark.parametrize("rate_fn, system", [
-    (cf._rate_general, lambda: scenario1(30, 0.1)),
-    (cf._rate_distinct,
-     lambda: random_distinct_system(np.random.default_rng(5), n_extra=30)),
-])
+@pytest.mark.parametrize("system", [
+    lambda: scenario1(30, 0.1),
+    lambda: random_distinct_system(np.random.default_rng(5), n_extra=30),
+], ids=["scenario1", "distinct"])
 def test_rate_sums_build_one_ei_moment_sequence_per_term(monkeypatch,
-                                                         rate_fn, system):
+                                                         system):
     cfg, fad, exp = system()
     sequences, kernels = [], []
     build, closed = cf._ei_moment_sequence, cf._ei_moment_closed
@@ -187,7 +178,7 @@ def test_rate_sums_build_one_ei_moment_sequence_per_term(monkeypatch,
 
     monkeypatch.setattr(cf, "_ei_moment_sequence", counted_build)
     monkeypatch.setattr(cf, "_ei_moment_closed", counted_closed)
-    value, _, _ = rate_fn(cfg, fad.direct_gain(0, 0), exp)
+    value, _, _ = cf._rate_general(cfg, fad.direct_gain(0, 0), exp)
     assert math.isfinite(value)
     terms = sum(1 for _, _, chi in exp.terms_hi() if chi != 0.0)
     big_j = cfg.zf_shape - 1
@@ -340,6 +331,61 @@ def test_outage_asymptote_distinct_path_agrees():
         asym = cf.outage_small_threshold(cfg, fad, exp, 0, 0, gth)
         hi = cf.outage_exact(hi_cfg, fad, exp, 0, 0, gth)
         np.testing.assert_allclose(asym, hi, rtol=1e-6)
+
+
+def test_distinct_profile_rate_is_labelled_exact_distinct():
+    cfg, fad, exp = random_distinct_system(np.random.default_rng(5))
+    assert np.all(exp.tau == 1)
+    assert cf.rate_exact(cfg, fad, exp, 0, 0).method == "exact_distinct"
+
+
+def test_rate_q_sum_runs_no_quadrature(monkeypatch):
+    # U(n, n+d+1, z) is a terminating sum, so a closed rate integrates
+    # nothing numerically, for simple and repeated eigenvalues alike
+    def refuse(*args, **kwargs):
+        raise AssertionError("the closed rate ran a quadrature")
+
+    monkeypatch.setattr(specfun, "integrate_semi_infinite", refuse)
+    for cfg, fad, exp in (scenario1(20, 0.1),
+                          random_distinct_system(np.random.default_rng(5))):
+        value, _, _ = cf._rate_general(cfg, fad.direct_gain(0, 0), exp)
+        assert math.isfinite(value) and value > 0.0
+
+
+def test_infinite_snr_paths_emit_no_runtime_warning():
+    # 1/p_u = 0 must not reach log(0) or 0/0 anywhere; nu = 36 sends the
+    # MGF to its quadrature, nu = 11 keeps it on the closed sum
+    mod = cf.ModulationScheme(4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for n in (20, 45):
+            cfg, fad, exp = scenario1(n, 0.1)
+            assert 0.0 < cf.ser_high_snr(cfg, fad, exp, mod, 0, 0) < 1.0
+            assert 0.0 < cf.outage_small_threshold(cfg, fad, exp, 0, 0,
+                                                   1.0) < 1.0
+        model = sd.make_sinr_model(cfg, fad, 0, 0)
+        assert model.desired.shape == 36
+        for s in (0.5, 2.0, 50.0):
+            assert 0.0 < sd.mgf_sinr_high_snr(model, s) < 1.0
+
+
+def test_infinite_snr_is_the_finite_formula_at_infinity():
+    cfg, fad, exp = scenario1(20, 0.1)
+    cfg_inf = SystemConfig(4, 10, 20, math.inf)
+    model = sd.make_sinr_model(cfg, fad, 0, 0)
+    model_inf = sd.make_sinr_model(cfg_inf, fad, 0, 0)
+    for s in (0.5, 2.0):
+        assert sd.mgf_sinr_high_snr(model, s) == sd.mgf_sinr(model_inf, s)
+    for gth in (0.5, 2.0):
+        assert (cf.outage_small_threshold(cfg, fad, exp, 0, 0, gth)
+                == cf.outage_exact(cfg_inf, fad, exp, 0, 0, gth))
+    # without interference X/Z diverges: no outage and a zero MGF
+    cfg1 = SystemConfig(1, 10, 20, 10.0)
+    fad1 = symmetric_fading(1, 10)
+    empty = CharacteristicExpansion.empty()
+    assert cf.outage_small_threshold(cfg1, fad1, empty, 0, 0, 1.0) == 0.0
+    assert sd.mgf_sinr_high_snr(sd.make_sinr_model(cfg1, fad1, 0, 0),
+                                1.0) == 0.0
 
 
 def test_quality_log_thread_safety_contract():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,34 @@ def test_near_degenerate_warning_and_merge():
     merged = build_profile(cfg, LargeScaleFading(beta), 0, merge_tol=1e-6)
     assert merged.num_distinct == 2
     assert merged.tau[0] == 2
+
+
+def _cross_gain_fading(cross, cells=4, users=10):
+    """Direct gains 1; every base station sees `cross` from the other cells,
+    `users` gains per cell in order."""
+    beta = np.ones((cells, cells, users))
+    for l in range(cells):
+        others = [i for i in range(cells) if i != l]
+        for j, i in enumerate(others):
+            beta[l, i, :] = cross[j * users:(j + 1) * users]
+    return SystemConfig(cells, users, 20, 10.0), LargeScaleFading(beta)
+
+
+def test_coefficient_sum_warns_when_the_expansion_breaks_down():
+    # these two sum to 1 + 9.2e-3 and 1 + 3.0e-4
+    geometric = 0.05 * 4.0 ** (np.arange(30) / 29)
+    for cross in (geometric, np.repeat([0.1, 0.2, 0.3], 10)):
+        cfg, fad = _cross_gain_fading(cross)
+        with pytest.warns(RuntimeWarning, match="sum to 1"):
+            characteristic_coefficients(build_profile(cfg, fad, 0))
+    # scenario 1 and an all-distinct profile stay silent
+    distinct = 0.05 * 10.0 ** (np.arange(8) / 7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for cfg, fad in (_cross_gain_fading([0.1] * 30),
+                         _cross_gain_fading(distinct, cells=3, users=4)):
+            exp = characteristic_coefficients(build_profile(cfg, fad, 0))
+            assert abs(sum(c for _, _, c in exp.terms_hi()) - 1) < 1e-12
 
 
 def test_rates_expand_the_diagonal():
