@@ -273,12 +273,9 @@ def _ser_point(cfg, quality, index, point):
     sc, fad, expansion = _system(cfg, n, a, _db_to_linear(snr_db))
     k, l = cfg["user_index"], cfg["cell_index"]
     modulation = ModulationScheme(cfg["psk_order"])
-    exact = closedform.ser_exact(sc, fad, expansion, modulation, k, l,
-                                 quality=quality)
-    approx = closedform.ser_approx(sc, fad, expansion, modulation, k, l,
-                                   quality=quality)
-    floor = closedform.ser_high_snr(sc, fad, expansion, modulation, k, l,
-                                    quality=quality)
+    exact = closedform.ser_exact(sc, fad, expansion, modulation, k, l)
+    approx = closedform.ser_approx(sc, fad, expansion, modulation, k, l)
+    floor = closedform.ser_high_snr(sc, fad, expansion, modulation, k, l)
     return [(snr_db, n, a, cfg["psk_order"], exact, approx, floor)]
 
 
@@ -327,8 +324,7 @@ def _montecarlo_point(cfg, quality, index, point):
         modulation = ModulationScheme(cfg["psk_order"])
         est = montecarlo.estimate_ser(sc, fad, modulation, plan,
                                       home_cell=l, mode=cfg["ser_mode"])
-        ref = closedform.ser_exact(sc, fad, expansion, modulation, k, l,
-                                   quality=quality)
+        ref = closedform.ser_exact(sc, fad, expansion, modulation, k, l)
     else:
         gth = cfg["gamma_th_list"][0]
         est = montecarlo.estimate_outage(sc, fad, plan, gth, home_cell=l)

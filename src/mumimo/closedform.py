@@ -3,24 +3,30 @@ symbol error rate (exact, high-SNR floor, three-point approximation), and
 outage probability.
 
 Every expression is an exact finite formula for the post-ZF SINR law, but
-several contain binomial-weighted alternating sums that cancel
-catastrophically once N - K is large.  Sums are therefore accumulated in
-extended precision with a running condition estimate
-(sum |terms| / |sum|); when it exceeds the guard, evaluation switches to
-adaptive quadrature of the defining integral and the event is recorded in
-the caller's QualityLog.
+the rate contains binomial-weighted alternating sums that cancel
+catastrophically once N - K is large.  They are accumulated in extended
+precision with a running condition estimate (sum |terms| / |sum|); when it
+exceeds the guard, evaluation switches to adaptive quadrature of the
+defining integral and the event is recorded in the caller's QualityLog.
+
+Each SER is one adaptive integral over the interference density of the
+conditional Erlang transform summed over a fixed theta rule (Craig's form
+of the M-PSK error integral): no alternating sum, guard or fallback.
 """
 
 import math
 import threading
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
-from .quadrature import QuadratureSpec, integrate, integrate_semi_infinite
-from .sinrdist import (InterferencePowerDist, make_sinr_model, mgf_sinr,
-                       mgf_sinr_high_snr, pdf_z)
+from .quadrature import QuadratureSpec, integrate_semi_infinite
+from .sinrdist import (InterferencePowerDist, make_sinr_model,
+                       mgf_weighted_sum, pdf_z)
+# unused here; bound because benchmark/tracing.py wraps them by name
+from .quadrature import integrate  # noqa: F401
+from .sinrdist import mgf_sinr, mgf_sinr_high_snr  # noqa: F401
 from .specfun import (_ei_moment_closed, _ei_moment_sequence,
                       _log_moment_normalized, digamma_int,
                       ei_moment_quadrature, tricomi_u)
@@ -63,6 +69,36 @@ class ModulationScheme:
     @property
     def theta_max(self):
         return math.pi - math.pi / self.psk_order
+
+    @property
+    def theta_rule(self):
+        """Nodes s_j and weights w_j with sum_j w_j f(s_j) =
+        (1/pi) int_0^Theta f(g / sin^2 theta) dtheta (Craig's form)."""
+        return _theta_rule(self.g_mpsk, self.theta_max)
+
+    @property
+    def three_point_rule(self):
+        """Nodes and weights of the three-evaluation SER approximation."""
+        g, half = self.g_mpsk, self.theta_max / (2 * math.pi)
+        return ((g, 4.0 * g / 3.0, g / math.sin(self.theta_max) ** 2),
+                (half - 1.0 / 6.0, 0.25, half - 0.25))
+
+
+_THETA_NODES = 128
+
+
+@lru_cache(maxsize=None)
+def _theta_rule(g, theta_max):
+    """Gauss-Legendre in phi on [0, 1] with theta = Theta phi^3, which packs
+    nodes into the layer theta ~ sqrt(nu c) where (1 + c / sin^2 theta)^-nu
+    rises: within 1e-12 from -60 dB up to 1/p_u = 0, 2.5e-10 at -90 dB."""
+    x, wx = np.polynomial.legendre.leggauss(_THETA_NODES)
+    phi = 0.5 * (x + 1.0)
+    s = g / np.sin(theta_max * phi ** 3) ** 2
+    w = 1.5 * theta_max * phi ** 2 * wx / math.pi
+    for arr in (s, w):
+        arr.setflags(write=False)
+    return s, w
 
 
 @dataclass(frozen=True)
@@ -122,7 +158,7 @@ def rate_by_quadrature(config, fading, expansion, user, cell,
         inner = [_log_moment_normalized(nu, beta, v) for v in a.flat]
         return np.reshape(inner, a.shape) * pdf_z(dist, z)
 
-    val = integrate_semi_infinite(f, 0.0, spec, scale=max(dist.mean, 1.0))
+    val = integrate_semi_infinite(f, 0.0, spec, scale=dist.mean)
     return LOG2E * val
 
 
@@ -307,74 +343,30 @@ def cell_sum_rate(config, fading, cell, expansion, method="exact",
 # symbol error rate
 # ---------------------------------------------------------------------------
 
-_GL_CACHE = {}
+def _ser(model, rule):
+    """(1/pi) int_0^Theta M(g / sin^2 theta) dtheta under a fixed rule
+    (s_j, w_j): one integral over the interference density."""
+    return min(1.0, max(0.0, mgf_weighted_sum(model, *rule)))
 
 
-def _gauss_legendre(order, lo, hi):
-    key = (order, lo, hi)
-    if key not in _GL_CACHE:
-        x, w = np.polynomial.legendre.leggauss(order)
-        _GL_CACHE[key] = (0.5 * (hi - lo) * (x + 1.0) + lo,
-                          0.5 * (hi - lo) * w)
-    return _GL_CACHE[key]
-
-
-def _ser_integral(mgf, modulation, integration):
-    """(1/pi) int_0^Theta M(g / sin^2 theta) dtheta.
-
-    Fixed 64-node Gauss-Legendre checked against 128 nodes; adaptive
-    subdivision only if they disagree beyond the requested tolerance.
-    """
-    g = modulation.g_mpsk
-    theta = modulation.theta_max
-    spec = integration or QuadratureSpec(relative_tolerance=1e-8,
-                                         absolute_tolerance=1e-12)
-
-    def integrand(t):
-        sin2 = math.sin(t) ** 2
-        if sin2 == 0.0:
-            return 0.0
-        return mgf(g / sin2)
-
-    x64, w64 = _gauss_legendre(64, 0.0, theta)
-    x32, w32 = _gauss_legendre(32, 0.0, theta)
-    est64 = sum(w * integrand(t) for t, w in zip(x64, w64)) / math.pi
-    est32 = sum(w * integrand(t) for t, w in zip(x32, w32)) / math.pi
-    if abs(est64 - est32) <= max(spec.absolute_tolerance,
-                                 spec.relative_tolerance * abs(est64)):
-        return min(1.0, max(0.0, est64))
-    value = integrate(integrand, 0.0, theta, spec) / math.pi
-    return min(1.0, max(0.0, value))
-
-
-def ser_exact(config, fading, expansion, modulation, user, cell,
-              integration=None, quality=None):
-    """Average M-PSK SER from the closed-form MGF."""
+def ser_exact(config, fading, expansion, modulation, user, cell):
+    """Average M-PSK SER: the MGF-based theta integral of the SINR law."""
     model = make_sinr_model(config, fading, user, cell, expansion=expansion)
-    return _ser_integral(lambda s: mgf_sinr(model, s, quality=quality),
-                         modulation, integration)
+    return _ser(model, modulation.theta_rule)
 
 
-def ser_high_snr(config, fading, expansion, modulation, user, cell,
-                 integration=None, quality=None):
-    """SNR-independent SER floor (diversity order zero under interference)."""
+def ser_high_snr(config, fading, expansion, modulation, user, cell):
+    """SNR-independent SER floor (diversity order zero under interference):
+    `ser_exact` at 1/p_u = 0."""
     model = make_sinr_model(config, fading, user, cell, expansion=expansion)
-    return _ser_integral(lambda s: mgf_sinr_high_snr(model, s,
-                                                     quality=quality),
-                         modulation, integration)
+    return _ser(replace(model, p_u=math.inf), modulation.theta_rule)
 
 
-def ser_approx(config, fading, expansion, modulation, user, cell,
-               quality=None):
-    """Three-evaluation SER approximation (no theta integration)."""
+def ser_approx(config, fading, expansion, modulation, user, cell):
+    """Three-evaluation SER approximation: the SER integral with the
+    three-point rule in place of the theta rule."""
     model = make_sinr_model(config, fading, user, cell, expansion=expansion)
-    g = modulation.g_mpsk
-    theta = modulation.theta_max
-    m = lambda s: mgf_sinr(model, s, quality=quality)
-    val = ((theta / (2 * math.pi) - 1.0 / 6.0) * m(g)
-           + 0.25 * m(4.0 * g / 3.0)
-           + (theta / (2 * math.pi) - 0.25) * m(g / math.sin(theta) ** 2))
-    return min(1.0, max(0.0, val))
+    return _ser(model, modulation.three_point_rule)
 
 
 # ---------------------------------------------------------------------------

@@ -205,14 +205,12 @@ def estimate_rate(config, fading, plan, home_cell=0, user=None):
     return Estimate(mean, se, count)
 
 
-def _conditional_psk_ser(gamma, modulation, nodes=64):
+def _conditional_psk_ser(gamma, modulation):
     """Exact conditional M-PSK SER given the SINR:
-    (1/pi) int_0^Theta exp(-g gamma / sin^2 theta) dtheta."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    theta = 0.5 * (x + 1.0) * modulation.theta_max
-    weight = 0.5 * modulation.theta_max * w
-    s = modulation.g_mpsk / np.sin(theta) ** 2
-    return np.exp(-np.multiply.outer(gamma, s)) @ weight / math.pi
+    (1/pi) int_0^Theta exp(-g gamma / sin^2 theta) dtheta, on the
+    modulation's theta rule."""
+    s, w = modulation.theta_rule
+    return np.exp(-np.multiply.outer(gamma, s)) @ w
 
 
 def estimate_ser(config, fading, modulation, plan, home_cell=0,

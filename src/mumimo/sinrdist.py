@@ -28,6 +28,7 @@ __all__ = [
     "pdf_z",
     "mgf_sinr",
     "mgf_sinr_high_snr",
+    "mgf_weighted_sum",
     "sample_sinr",
     "sinr_cdf_quadrature",
 ]
@@ -210,21 +211,26 @@ def _mgf_closed(model, s):
     return value, float(total_abs) / abs(value)
 
 
-def _mgf_quadrature(model, s):
-    """E_Z of the conditional Erlang transform; exact 1-D reduction."""
+def mgf_weighted_sum(model, s, w):
+    """sum_j w_j E{e^{-s_j gamma}} as one integral over the interference
+    density of the conditional Erlang transform (1 + beta s_j / (Z +
+    1/p_u))^-nu.  It has no alternating sum, so it holds for any N - K; the
+    SER uses it with a theta rule, `mgf_sinr` with (s, 1) as its fallback.
+    """
     nu = model.desired.shape
     beta = model.desired.scale
+    if model.interference.is_zero:
+        return float(sum(wj * _mgf_no_interference(model, sj)
+                         for sj, wj in zip(s, w)))
     t0 = 1.0 / model.p_u
     dist = model.interference
 
     def f(z):
         z = np.asarray(z, dtype=float)
-        vals = pdf_z(dist, z) * np.exp(
-            nu * (np.log(z + t0) - np.log(z + t0 + beta * s)))
-        return vals if np.ndim(z) else float(vals)
+        cond = np.exp(-nu * np.log1p(np.multiply.outer(beta / (z + t0), s)))
+        return pdf_z(dist, z) * (cond @ w)
 
-    scale = max(dist.mean, t0)
-    return integrate_semi_infinite(f, 0.0, _MGF_SPEC, scale=scale)
+    return integrate_semi_infinite(f, 0.0, _MGF_SPEC, scale=dist.mean)
 
 
 def mgf_sinr(model, s, quality=None):
@@ -246,7 +252,7 @@ def mgf_sinr(model, s, quality=None):
     if quality is not None:
         quality.flag(f"mgf_sinr(s={s:g}): cancellation guard tripped "
                      f"(condition {cond:.3g}); used quadrature")
-    return min(1.0, max(0.0, _mgf_quadrature(model, s)))
+    return min(1.0, max(0.0, mgf_weighted_sum(model, [s], [1.0])))
 
 
 def mgf_sinr_high_snr(model, s, quality=None):
@@ -324,4 +330,4 @@ def sinr_cdf_quadrature(model, threshold,
         return pdf_z(dist, z) * cdf_x(model.desired, threshold * (z + t0))
 
     return min(1.0, max(0.0, integrate_semi_infinite(
-        f, 0.0, spec, scale=max(dist.mean, t0))))
+        f, 0.0, spec, scale=dist.mean)))

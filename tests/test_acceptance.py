@@ -150,7 +150,6 @@ def test_criterion_04_bound_behavior():
     report(4, checks)
 
 
-@pytest.mark.slow
 def test_criterion_05_ser_floor_and_approx():
     """Floor at 60 dB within 1% for N in {15, 20}; three-point
     approximation within 5% across the figure SNR grid.  The N=20 approx

@@ -6,11 +6,12 @@ import pytest
 
 from mumimo import closedform as cf
 from mumimo import sinrdist as sd
-from mumimo import specfun
+from mumimo import quadrature, specfun
 from mumimo.fading import (CharacteristicExpansion, LargeScaleFading,
                            SystemConfig, build_profile,
                            characteristic_coefficients, symmetric_fading)
-from mumimo.quadrature import QuadratureSpec, integrate_semi_infinite
+from mumimo.quadrature import (QuadratureSpec, integrate,
+                               integrate_semi_infinite)
 
 
 def scenario1(n, a, p_u=10.0, cells=4, k=10):
@@ -18,6 +19,27 @@ def scenario1(n, a, p_u=10.0, cells=4, k=10):
     fad = symmetric_fading(cells, k, 1.0, a)
     exp = characteristic_coefficients(build_profile(cfg, fad, 0))
     return cfg, fad, exp
+
+
+def profile_system(cells, k, cross, n, p_u):
+    """Direct gains 1; every base station sees the cross gains `cross`
+    from the other cells in order, K per interfering cell."""
+    chunks = np.reshape(cross, (cells - 1, k))
+    beta = np.ones((cells, cells, k))
+    for l in range(cells):
+        others = iter(chunks)
+        for i in range(cells):
+            if i != l:
+                beta[l, i] = next(others)
+    cfg = SystemConfig(cells, k, n, p_u)
+    fad = LargeScaleFading(beta)
+    exp = characteristic_coefficients(build_profile(cfg, fad, 0))
+    return cfg, fad, exp
+
+
+def distinct_profile(n, p_u):
+    """L=3, K=4 with the 8 cross gains geometric in [0.05, 0.5]."""
+    return profile_system(3, 4, 0.05 * 10 ** (np.arange(8) / 7), n, p_u)
 
 
 def random_distinct_system(rng, cells=3, k=3, n_extra=6):
@@ -113,6 +135,19 @@ def test_rate_guard_trips_at_large_n():
     assert res.cancellation_flagged and quality.tripped
     # the fallback still reproduces the reference sum rate
     np.testing.assert_allclose(10 * res.value, 73.20, rtol=0.01)
+
+
+def test_rate_fallback_finds_a_narrow_interference_density():
+    # cross gain 1e-6: the interference mean is 3e-5, far below 1, and the
+    # fallback must still sample it; the rate lies between the Jensen bound
+    # and the interference-free rate
+    cfg, fad, exp = scenario1(20, 1e-6)
+    res = cf.rate_exact(cfg, fad, exp, 0, 0)
+    assert res.method == "quadrature_fallback"
+    bound = cf.rate_lower_bound(cfg, fad, exp, 0, 0).value
+    free = cf._rate_no_interference(cfg, 1.0)
+    assert bound < res.value < free
+    np.testing.assert_allclose(res.value, 6.7287, rtol=1e-4)
 
 
 def test_rate_high_snr_saturation():
@@ -260,13 +295,94 @@ def test_ser_semi_analytic_cross_check():
     assert abs(got - 0.0712178) < 0.02 * 0.0712178
 
 
-def test_ser_respects_integration_spec():
+def ser_theta_integral(mgf, modulation):
+    """The paper's SER: adaptive theta quadrature of the closed-form MGF,
+    (1/pi) int_0^Theta M(g / sin^2 theta) dtheta."""
+    g, theta = modulation.g_mpsk, modulation.theta_max
+    spec = QuadratureSpec(relative_tolerance=1e-9, absolute_tolerance=1e-15)
+    return integrate(lambda t: mgf(g / math.sin(t) ** 2), 0.0, theta,
+                     spec) / math.pi
+
+
+@pytest.mark.parametrize("profile,n", [("scenario1", 15), ("scenario1", 20),
+                                       ("scenario1", 50), ("distinct", 8),
+                                       ("distinct", 16)])
+def test_ser_matches_theta_integral_of_closed_mgf(profile, n):
     mod = cf.ModulationScheme(4)
-    cfg, fad, exp = scenario1(15, 0.1)
-    spec = QuadratureSpec(relative_tolerance=1e-6, absolute_tolerance=1e-9)
-    a = cf.ser_exact(cfg, fad, exp, mod, 0, 0, integration=spec)
-    b = cf.ser_exact(cfg, fad, exp, mod, 0, 0)
-    np.testing.assert_allclose(a, b, rtol=1e-6)
+    for snr_db in (10, 30):
+        p_u = 10 ** (snr_db / 10)
+        cfg, fad, exp = (scenario1(n, 0.1, p_u=p_u) if profile == "scenario1"
+                         else distinct_profile(n, p_u))
+        model = sd.make_sinr_model(cfg, fad, 0, 0, expansion=exp)
+        np.testing.assert_allclose(
+            cf.ser_exact(cfg, fad, exp, mod, 0, 0),
+            ser_theta_integral(lambda s: sd.mgf_sinr(model, s), mod),
+            rtol=1e-8)
+    # the floor does not depend on p_u
+    np.testing.assert_allclose(
+        cf.ser_high_snr(cfg, fad, exp, mod, 0, 0),
+        ser_theta_integral(lambda s: sd.mgf_sinr_high_snr(model, s), mod),
+        rtol=1e-8)
+
+
+@pytest.mark.parametrize("psk_order", (2, 4, 8))
+def test_theta_rule_matches_adaptive_integration(psk_order):
+    # the conditional Erlang transform (1 + rho s)^-nu at conditional SNRs
+    # rho from -90 dB to +90 dB: every SNR an SER average meets, the
+    # interference tail at low p_u and the floor's X/Z at p_u = infinity
+    mod = cf.ModulationScheme(psk_order)
+    s, w = mod.theta_rule
+    g, theta = mod.g_mpsk, mod.theta_max
+    spec = QuadratureSpec(relative_tolerance=1e-13, absolute_tolerance=1e-300)
+    for nu in (1, 11, 491):
+        for snr_db in range(-90, 91, 15):
+            rho = 10.0 ** (snr_db / 10)
+            want = integrate(
+                lambda t: np.exp(-nu * np.log1p(rho * g / np.sin(t) ** 2)),
+                0.0, theta, spec) / math.pi
+            got = float(np.exp(-nu * np.log1p(rho * s)) @ w)
+            atol = 2.5e-10 if snr_db < -60 else 1e-12
+            assert abs(got - want) <= atol + 1e-12 * want, (nu, snr_db)
+
+
+def test_ser_runs_one_integral_and_no_mgf_sinr(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an SER call evaluated the MGF node by node")
+
+    for module, name in ((sd, "mgf_sinr"), (sd, "mgf_sinr_high_snr"),
+                         (sd, "_mgf_closed"), (cf, "mgf_sinr"),
+                         (cf, "mgf_sinr_high_snr")):
+        monkeypatch.setattr(module, name, refuse)
+    calls = []
+    plain = quadrature.integrate
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "integrate", counted)
+    mod = cf.ModulationScheme(4)
+    for system in (scenario1(20, 0.1), distinct_profile(16, 10.0)):
+        for fn in (cf.ser_exact, cf.ser_high_snr, cf.ser_approx):
+            calls.clear()
+            assert 0.0 < fn(*system, mod, 0, 0) < 1.0
+            assert len(calls) == 1, fn.__name__
+
+
+def test_ser_on_a_wide_gain_profile_matches_monte_carlo():
+    # 30 cross gains geometric in [0.01, 0.9] (N=20, 10 dB), where the
+    # closed MGF is ill-conditioned; semi-analytic Monte Carlo with the
+    # QPSK conditional SER 2Q(sqrt(gamma)) - Q(sqrt(gamma))^2, which does
+    # not use the theta rule
+    cfg, fad, exp = profile_system(4, 10, 0.01 * 90 ** (np.arange(30) / 29),
+                                   20, 10.0)
+    got = cf.ser_exact(cfg, fad, exp, cf.ModulationScheme(4), 0, 0)
+    model = sd.make_sinr_model(cfg, fad, 0, 0, expansion=exp)
+    gamma = sd.sample_sinr(model, np.random.default_rng(2012), size=200_000)
+    q = 0.5 * np.vectorize(math.erfc)(np.sqrt(gamma / 2.0))
+    cond = 2.0 * q - q * q
+    sigma = cond.std(ddof=1) / math.sqrt(cond.size)
+    assert abs(got - cond.mean()) <= 5.0 * sigma
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +407,18 @@ def test_outage_matches_quadrature_cdf():
         np.testing.assert_allclose(
             cf.outage_exact(cfg, fad, exp, 0, 0, gth),
             sd.sinr_cdf_quadrature(model, gth), atol=1e-10)
+
+
+def test_quadrature_cdf_at_tiny_transmit_power():
+    # 1/p_u far above the interference mean: the arbiter must still find
+    # the density (P{gamma <= 2 p_u} ~ 8.31e-6 for N - K + 1 = 11)
+    for p_u in (1e-4, 1e-6, 1e-8):
+        cfg, fad, exp = scenario1(20, 0.1, p_u=p_u)
+        model = sd.make_sinr_model(cfg, fad, 0, 0, expansion=exp)
+        want = cf.outage_exact(cfg, fad, exp, 0, 0, 2.0 * p_u)
+        assert 8.3e-6 < want < 8.34e-6
+        np.testing.assert_allclose(sd.sinr_cdf_quadrature(model, 2.0 * p_u),
+                                   want, rtol=1e-8)
 
 
 def test_outage_matches_quadrature_cdf_distinct():

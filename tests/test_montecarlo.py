@@ -171,6 +171,16 @@ def test_zero_sinr_conditional_ser_is_uniform_guess():
     np.testing.assert_allclose(val, 0.75, rtol=1e-6)
 
 
+def test_conditional_ser_matches_qpsk_closed_form():
+    # QPSK: (1/pi) int_0^{3pi/4} exp(-gamma / (2 sin^2 theta)) dtheta
+    # = 2Q(sqrt(gamma)) - Q(sqrt(gamma))^2, down to gamma = 1e-6 (-60 dB)
+    mod = cf.ModulationScheme(4)
+    gamma = np.array([0.0, 1e-6, 1e-3, 0.1, 1.0, 10.0, 100.0])
+    q = np.array([0.5 * math.erfc(math.sqrt(v / 2.0)) for v in gamma])
+    np.testing.assert_allclose(mc._conditional_psk_ser(gamma, mod),
+                               2.0 * q - q * q, rtol=1e-12, atol=1e-10)
+
+
 def test_estimate_outage_matches_closed_form():
     cfg, fad = scenario1()
     exp = characteristic_coefficients(build_profile(cfg, fad, 0))

@@ -116,7 +116,18 @@ def test_mgf_closed_matches_quadrature_scenario1():
     _, _, model = scenario1_model()
     for s in (0.2, 1.0, 5.0):
         np.testing.assert_allclose(sd.mgf_sinr(model, s),
-                                   sd._mgf_quadrature(model, s), rtol=5e-9)
+                                   sd.mgf_weighted_sum(model, [s], [1.0]),
+                                   rtol=5e-9)
+
+
+def test_mgf_quadrature_finds_a_narrow_interference_density():
+    # cross gain 1e-8: the interference mean (3e-7) is far below 1/p_u
+    _, _, model = scenario1_model(a=1e-8)
+    closed, cond = sd._mgf_closed(model, 0.1)
+    assert cond < 1e6
+    np.testing.assert_allclose(closed, 4.8829e-4, rtol=1e-4)
+    np.testing.assert_allclose(sd.mgf_weighted_sum(model, [0.1], [1.0]),
+                               closed, rtol=1e-9)
 
 
 def test_mgf_against_frozen_monte_carlo():
@@ -144,7 +155,8 @@ def test_mgf_distinct_profile_reduced_path():
     model = sd.make_sinr_model(cfg, LargeScaleFading(beta), 0, 0)
     for s in (0.3, 1.0, 4.0):
         np.testing.assert_allclose(sd.mgf_sinr(model, s),
-                                   sd._mgf_quadrature(model, s), rtol=1e-9)
+                                   sd.mgf_weighted_sum(model, [s], [1.0]),
+                                   rtol=1e-9)
 
 
 def test_sample_sinr_zero_power_limit():
