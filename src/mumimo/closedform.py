@@ -5,9 +5,12 @@ outage probability.
 Every expression is an exact finite formula for the post-ZF SINR law, but
 the rate contains binomial-weighted alternating sums that cancel
 catastrophically once N - K is large.  They are accumulated in extended
-precision with a running condition estimate (sum |terms| / |sum|); when it
-exceeds the guard, evaluation switches to adaptive quadrature of the
-defining integral and the event is recorded in the caller's QualityLog.
+precision with a running condition estimate (sum |terms| / |sum|) and a
+propagated error estimate that includes each Ei-moment kernel's own
+(condition x 2.3e-16).  The closed rate runs no quadrature: it is accepted
+whole, or, when either estimate exceeds its guard, the whole call goes to
+`rate_by_quadrature`, the adaptive integral of the defining expression, and
+the event is recorded in the caller's QualityLog.
 
 Each SER is one adaptive integral over the interference density of the
 conditional Erlang transform summed over a fixed theta rule (Craig's form
@@ -24,12 +27,12 @@ import numpy as np
 from .quadrature import QuadratureSpec, integrate_semi_infinite
 from .sinrdist import (InterferencePowerDist, make_sinr_model,
                        mgf_weighted_sum, pdf_z)
+from .specfun import (_ei_moment_closed, _ei_moment_sequence,
+                      _log_moment_normalized, digamma_int, tricomi_u)
 # unused here; bound because benchmark/tracing.py wraps them by name
 from .quadrature import integrate  # noqa: F401
 from .sinrdist import mgf_sinr, mgf_sinr_high_snr  # noqa: F401
-from .specfun import (_ei_moment_closed, _ei_moment_sequence,
-                      _log_moment_normalized, digamma_int,
-                      ei_moment_quadrature, tricomi_u)
+from .specfun import ei_moment_quadrature  # noqa: F401
 
 __all__ = [
     "ModulationScheme",
@@ -190,28 +193,11 @@ def _rate_terms_representable(n, big_j, zmu, mu0, a_in, b_in, alph):
 
 
 _EPS_LD = float(np.finfo(np.longdouble).eps)
-_EI_MOMENT_INNER_LIMIT = 1e6   # beyond this, a quadrature I-value is cheaper/safer
-_QUAD_RELERR = 1e-11        # ei_moment_quadrature tolerance
+# the Ei-moment recursion consumes float64 Ei values: a kernel's relative
+# error is its condition estimate times this
+_EI_RELERR_PER_COND = 2.3e-16
 _U_RELERR = 1e-14           # terminating Tricomi-U sum of positive terms
 _RATE_RELERR_LIMIT = 1e-6   # accepted propagated error of the closed rate
-
-
-def _ei_moment_value(m, n, a, b, alpha, seq):
-    """(value, relative-error estimate) for one I_{m,n} kernel; `seq` is the
-    expansion term's shared `_ei_moment_sequence`.
-
-    The closed recursion is driven by float64 Ei values, hence the 2.2e-16
-    error scale.
-    """
-    val, cond = _ei_moment_closed(m, n, a, b, alpha, seq=seq)
-    if math.isfinite(val) and cond <= _EI_MOMENT_INNER_LIMIT:
-        return val, max(cond * 2.3e-16, 1e-16)
-    try:
-        return ei_moment_quadrature(m, n, a, b, alpha), _QUAD_RELERR
-    except OverflowError:
-        # the kernel itself exceeds double range; poison the sum so the
-        # caller switches to its own quadrature path
-        return math.inf, math.inf
 
 
 def _rate_general(config, beta, expansion):
@@ -222,9 +208,10 @@ def _rate_general(config, beta, expansion):
     the inner structure is
       -e^{1/(beta p_u)} I_{n-1, w}(1/beta, 1/(beta p_u), 1/mu - 1/beta)
       + q-sum of Tricomi-U values U(n, n+d+1, 1/(mu p_u)),
-    summed over w = N-K-p with alternating binomial weights.  Inner-kernel
-    error estimates are propagated so that cancellation in either layer is
-    visible to the guard.
+    summed over w = N-K-p with alternating binomial weights.  Every kernel
+    is read from the term's closed recursion, none is integrated, and each
+    kernel's error estimate is propagated so that cancellation in either
+    layer is visible to the guard.
     """
     nu = config.zf_shape
     big_j = nu - 1  # N - K
@@ -253,8 +240,11 @@ def _rate_general(config, beta, expansion):
         lg_n = ld(math.lgamma(n))
         for p in range(big_j + 1):
             w = big_j - p
-            i_val, i_rel = _ei_moment_value(n - 1, w, a_in, b_in, alph,
-                                            seq)
+            i_val, i_cond = _ei_moment_closed(n - 1, w, a_in, b_in, alph,
+                                              seq=seq)
+            if i_cond == math.inf:  # the kernel left the double range
+                return math.nan, math.inf, math.inf
+            i_rel = i_cond * _EI_RELERR_PER_COND
             sign = ld(1.0) if w % 2 == 0 else ld(-1.0)
             lw = ld(math.lgamma(w + 1))
             term_i = -chi * np.exp(-n * np.log(ld(mu)) - lg_n - lw) \

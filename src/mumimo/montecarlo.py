@@ -25,7 +25,6 @@ __all__ = [
     "estimate_rate",
     "estimate_ser",
     "estimate_outage",
-    "ks_statistic",
     "ks_two_sample",
 ]
 
@@ -283,16 +282,6 @@ def ks_two_sample(a, b):
     fa = np.searchsorted(a, pooled, side="right") / a.size
     fb = np.searchsorted(b, pooled, side="right") / b.size
     return float(np.abs(fa - fb).max())
-
-
-def ks_statistic(samples, cdf):
-    """One-sample KS statistic against a callable CDF."""
-    x = np.sort(np.asarray(samples, dtype=float))
-    n = x.size
-    f = np.array([cdf(v) for v in x])
-    upper = np.abs(np.arange(1, n + 1) / n - f).max()
-    lower = np.abs(f - np.arange(0, n) / n).max()
-    return float(max(upper, lower))
 
 
 def ks_two_sample_critical(n, m, significance=0.01):

@@ -6,6 +6,10 @@ partial-fraction expansion lives in fading.CharacteristicExpansion.  Both
 are exact distributional identities for the zero-forcing receiver, so this
 module doubles as a fast sampler equivalent to full channel-matrix
 simulation.
+
+Transforms of gamma (the MGF, any weighted sum of MGF values, the CDF) are
+each one adaptive integral over the interference density of a conditional
+Erlang expression: no alternating sum, hence no cancellation guard.
 """
 
 import math
@@ -16,7 +20,8 @@ import numpy as np
 from .fading import CharacteristicExpansion, build_profile, \
     characteristic_coefficients
 from .quadrature import QuadratureSpec, integrate_semi_infinite
-from .specfun import expint_en_scaled, hyp2f0_neg
+# unused here; bound because benchmark/tracing.py wraps them by name
+from .specfun import expint_en_scaled, hyp2f0_neg  # noqa: F401
 
 __all__ = [
     "DesiredPowerDist",
@@ -35,7 +40,6 @@ __all__ = [
 
 _MGF_SPEC = QuadratureSpec(relative_tolerance=1e-10,
                            absolute_tolerance=1e-300)
-_CANCEL_LIMIT = 1e12
 _CHUNK = 1 << 21  # cap on scratch elements while sampling
 
 
@@ -167,55 +171,11 @@ def _mgf_no_interference(model, s):
     return math.exp(-nu * math.log1p(model.desired.scale * model.p_u * s))
 
 
-def _mgf_closed(model, s):
-    """General MGF sum; returns (value, condition_estimate).
-
-    The binomial sum's terms total at least (1 + |ratio|)^nu in absolute
-    value (times slowly-varying 2F0 factors), so when that alone exceeds
-    the guard the expensive per-term evaluation is skipped outright.
-    """
-    nu = model.desired.shape
-    beta = model.desired.scale
-    cp = beta * s + 1.0 / model.p_u
-    ratio = -beta * s / cp  # -1 in the high-SNR limit 1/p_u = 0
-    # skip a little before the guard itself would reject: near the
-    # boundary the per-term evaluation is pure wasted work
-    if nu * math.log1p(abs(ratio)) > math.log(_CANCEL_LIMIT / 100.0):
-        return math.nan, math.inf
-    ld = np.longdouble
-    distinct = bool(np.all(model.interference.expansion.tau == 1))
-    total = ld(0.0)
-    total_abs = ld(0.0)
-    for mu, n, chi in model.interference.expansion.terms_hi():
-        if chi == 0.0:
-            continue
-        lbin = ld(0.0)  # log C(nu, p) running
-        for p in range(nu + 1):
-            if p > 0:
-                lbin += np.log(ld(nu - p + 1)) - np.log(ld(p))
-            if distinct:
-                # order-1 eigenvalues: 2F0(1, p; --; -x) reduces to scaled E_p
-                zz = cp / float(mu)
-                f = ld(zz) * ld(expint_en_scaled(p, zz))
-            else:
-                f = ld(hyp2f0_neg(n, p, float(mu) / cp))
-            term = np.exp(lbin + p * np.log(ld(abs(ratio)))) * chi * f \
-                if ratio != 0 else (chi * f if p == 0 else ld(0.0))
-            if ratio < 0 and p % 2 == 1:
-                term = -term
-            total += term
-            total_abs += abs(term)
-    value = float(total)
-    if not math.isfinite(value) or value == 0.0:
-        return value, math.inf
-    return value, float(total_abs) / abs(value)
-
-
 def mgf_weighted_sum(model, s, w):
     """sum_j w_j E{e^{-s_j gamma}} as one integral over the interference
     density of the conditional Erlang transform (1 + beta s_j / (Z +
     1/p_u))^-nu.  It has no alternating sum, so it holds for any N - K; the
-    SER uses it with a theta rule, `mgf_sinr` with (s, 1) as its fallback.
+    SER uses it with a theta rule, `mgf_sinr` with the single node (s, 1).
     """
     nu = model.desired.shape
     beta = model.desired.scale
@@ -233,31 +193,24 @@ def mgf_weighted_sum(model, s, w):
     return integrate_semi_infinite(f, 0.0, _MGF_SPEC, scale=dist.mean)
 
 
-def mgf_sinr(model, s, quality=None):
-    """E{e^{-s gamma}} in closed form; 1 at s = 0.
+def mgf_sinr(model, s):
+    """E{e^{-s gamma}}; 1 at s = 0.
 
-    Binomial-weighted alternating sums can cancel catastrophically for
-    large N - K; such evaluations fall back to the exact one-dimensional
-    integral over the interference density (recorded in `quality`).
+    `mgf_weighted_sum` at the single node s: one integral over the
+    interference density, exact for any N - K.  The paper's binomial sum of
+    2F0 terms cancels catastrophically for large N - K, so it serves only
+    as a reference in the tests.
     """
     if s < 0:
         raise ValueError("mgf_sinr requires s >= 0")
     if s == 0:
         return 1.0
-    if model.interference.is_zero:
-        return _mgf_no_interference(model, s)
-    value, cond = _mgf_closed(model, s)
-    if cond < _CANCEL_LIMIT:
-        return min(1.0, max(0.0, value))
-    if quality is not None:
-        quality.flag(f"mgf_sinr(s={s:g}): cancellation guard tripped "
-                     f"(condition {cond:.3g}); used quadrature")
     return min(1.0, max(0.0, mgf_weighted_sum(model, [s], [1.0])))
 
 
-def mgf_sinr_high_snr(model, s, quality=None):
+def mgf_sinr_high_snr(model, s):
     """MGF of the p_u -> infinity SINR limit X/Z: `mgf_sinr` at 1/p_u = 0."""
-    return mgf_sinr(replace(model, p_u=math.inf), s, quality=quality)
+    return mgf_sinr(replace(model, p_u=math.inf), s)
 
 
 # ---------------------------------------------------------------------------
@@ -296,19 +249,6 @@ def sample_sinr(model, rng, size=None):
             z[lo:hi] = -(np.log(u) * rates).sum(axis=1)
     gamma = model.p_u * x / (model.p_u * z + 1.0)
     return float(gamma[0]) if size is None else gamma
-
-
-def sample_sinr_limit(model, rng, size=None):
-    """Draw the p_u -> infinity limit X/Z (requires interference)."""
-    if model.interference.is_zero:
-        raise ValueError("X/Z undefined without interference")
-    count = 1 if size is None else int(size)
-    x = _erlang_draws(rng, count, model.desired.shape, model.desired.scale)
-    rates = model.interference.expansion.rates()
-    u = rng.random((count, rates.size))
-    z = -(np.log(u) * rates).sum(axis=1)
-    out = x / z
-    return float(out[0]) if size is None else out
 
 
 def sinr_cdf_quadrature(model, threshold,

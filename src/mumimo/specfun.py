@@ -1,14 +1,16 @@
 """Special functions for the zero-forcing uplink closed forms.
 
-Self-contained (numpy only): exponential integrals, upper incomplete gamma,
-integer digamma, Tricomi's confluent hypergeometric U, the 2F0 reduction,
-the logarithmic moment of an Erlang variable, and the exponential-integral
-moment kernel I_{m,n}(a, b, alpha) used by the exact-rate expression.
+Self-contained (numpy only): exponential integrals, integer digamma,
+Tricomi's confluent hypergeometric U, the 2F0 reduction, the logarithmic
+moment of an Erlang variable, and the exponential-integral moment kernel
+I_{m,n}(a, b, alpha) used by the exact-rate expression.
 
 Closed forms that involve alternating sums carry a running estimate of the
 cancellation they suffered.  When that estimate is too large to trust in
 double precision, `ei_moment_kernel` switches to adaptive quadrature of its
-defining integral.  The log-moment kernel is an all-positive sum of
+defining integral; the exact rate instead reads the recursion directly
+(`_ei_moment_closed`) and propagates the estimate into its own guard, so it
+integrates nothing here.  The log-moment kernel is an all-positive sum of
 exponential integrals, and Tricomi U(a, a+m+1, z) with m >= 0 (the only U
 the rate needs) a terminating all-positive sum, so neither integrates
 numerically.  Other Tricomi U and the 2F0 reduction are evaluated from
@@ -24,11 +26,7 @@ from .quadrature import QuadratureSpec, integrate_semi_infinite
 __all__ = [
     "EULER_GAMMA",
     "expint_ei",
-    "expint_en",
-    "expint_e1_scaled",
     "expint_en_scaled",
-    "upper_gamma",
-    "upper_gamma_scaled",
     "digamma_int",
     "tricomi_u",
     "hyp2f0_neg",
@@ -119,23 +117,6 @@ def expint_ei(x):
     return s
 
 
-def expint_en(n, z):
-    """Generalized exponential integral E_n(z) = int_1^inf t^-n e^-zt dt."""
-    n = _check_int(n, "n", 0)
-    if z <= 0:
-        raise ValueError(f"expint_en requires z > 0, got {z}")
-    if n == 0:
-        return math.exp(-z) / z
-    if z > 1.0:
-        return _en_continued_fraction(n, z) * math.exp(-z)
-    return _en_series(n, z)
-
-
-def expint_e1_scaled(z):
-    """e^z * E_1(z); stays finite for large z where E_1 alone underflows."""
-    return expint_en_scaled(1, z)
-
-
 def expint_en_scaled(n, z):
     """e^z * E_n(z) without intermediate under/overflow."""
     n = _check_int(n, "n", 0)
@@ -146,35 +127,6 @@ def expint_en_scaled(n, z):
     if z > 1.0:
         return _en_continued_fraction(n, z)
     return math.exp(z) * _en_series(n, z)
-
-
-def upper_gamma(a, x):
-    """Upper incomplete gamma for integer a >= 1:
-    Gamma(a, x) = (a-1)! e^-x sum_{j<a} x^j / j!.
-    """
-    a = _check_int(a, "a", 1)
-    if x < 0:
-        raise ValueError(f"upper_gamma requires x >= 0, got {x}")
-    if x == 0.0:
-        return math.exp(math.lgamma(a))
-    # log-sum-exp over j*ln(x) - ln(j!) keeps large a / large x in range
-    logs = [j * math.log(x) - math.lgamma(j + 1) for j in range(a)]
-    top = max(logs)
-    log_s = top + math.log(sum(math.exp(v - top) for v in logs))
-    return math.exp(math.lgamma(a) + log_s - x)
-
-
-def upper_gamma_scaled(a, x):
-    """e^x Gamma(a, x) = (a-1)! sum_{j<a} x^j / j!; finite for any x >= 0."""
-    a = _check_int(a, "a", 1)
-    if x < 0:
-        raise ValueError(f"upper_gamma_scaled requires x >= 0, got {x}")
-    if x == 0.0:
-        return math.exp(math.lgamma(a))
-    logs = [j * math.log(x) - math.lgamma(j + 1) for j in range(a)]
-    top = max(logs)
-    log_s = top + math.log(sum(math.exp(v - top) for v in logs))
-    return math.exp(math.lgamma(a) + log_s)
 
 
 def digamma_int(n):

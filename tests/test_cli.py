@@ -100,9 +100,9 @@ def test_db_conversion_happens_once_at_the_boundary(tmp_path):
               "--set", "n_list=10", "--set", "cells=1"])
     _, _, rows = read_csv(out / "rate.csv")
     # 0 dB means p_u = 1 exactly: E log2(1 + X), X ~ Exp(1)
-    from mumimo.specfun import expint_e1_scaled
+    from mumimo.specfun import expint_en_scaled
     import math
-    want = expint_e1_scaled(1.0) / math.log(2.0)
+    want = expint_en_scaled(1, 1.0) / math.log(2.0)
     np.testing.assert_allclose(float(rows[0]["rate_per_user"]), want,
                                rtol=1e-9)
 

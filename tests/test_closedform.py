@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from mumimo.fading import (CharacteristicExpansion, LargeScaleFading,
                            characteristic_coefficients, symmetric_fading)
 from mumimo.quadrature import (QuadratureSpec, integrate,
                                integrate_semi_infinite)
+from test_sinrdist import mgf_closed
 
 
 def scenario1(n, a, p_u=10.0, cells=4, k=10):
@@ -316,12 +318,13 @@ def test_ser_matches_theta_integral_of_closed_mgf(profile, n):
         model = sd.make_sinr_model(cfg, fad, 0, 0, expansion=exp)
         np.testing.assert_allclose(
             cf.ser_exact(cfg, fad, exp, mod, 0, 0),
-            ser_theta_integral(lambda s: sd.mgf_sinr(model, s), mod),
+            ser_theta_integral(lambda s: mgf_closed(model, s), mod),
             rtol=1e-8)
     # the floor does not depend on p_u
+    model_inf = replace(model, p_u=math.inf)
     np.testing.assert_allclose(
         cf.ser_high_snr(cfg, fad, exp, mod, 0, 0),
-        ser_theta_integral(lambda s: sd.mgf_sinr_high_snr(model, s), mod),
+        ser_theta_integral(lambda s: mgf_closed(model_inf, s), mod),
         rtol=1e-8)
 
 
@@ -350,8 +353,8 @@ def test_ser_runs_one_integral_and_no_mgf_sinr(monkeypatch):
         raise AssertionError("an SER call evaluated the MGF node by node")
 
     for module, name in ((sd, "mgf_sinr"), (sd, "mgf_sinr_high_snr"),
-                         (sd, "_mgf_closed"), (cf, "mgf_sinr"),
-                         (cf, "mgf_sinr_high_snr")):
+                         (sd, "hyp2f0_neg"), (sd, "expint_en_scaled"),
+                         (cf, "mgf_sinr"), (cf, "mgf_sinr_high_snr")):
         monkeypatch.setattr(module, name, refuse)
     calls = []
     plain = quadrature.integrate
@@ -480,9 +483,40 @@ def test_rate_q_sum_runs_no_quadrature(monkeypatch):
         assert math.isfinite(value) and value > 0.0
 
 
+def test_closed_rate_runs_no_quadrature(monkeypatch):
+    # every Ei-moment kernel comes from its closed recursion, whatever its
+    # condition: these calls accept the closed sum without integrating
+    def refuse(*args, **kwargs):
+        raise AssertionError("the closed rate ran a quadrature")
+
+    monkeypatch.setattr(quadrature, "integrate", refuse)
+    for system, method in ((scenario1(100, 0.1), "exact_general"),
+                           (distinct_profile(40, 10.0), "exact_distinct")):
+        assert cf.rate_exact(*system, 0, 0).method == method
+
+
+def test_closed_rate_error_estimate_bounds_its_deviation():
+    # wherever the guard accepts the closed sum, its propagated error
+    # estimate (plus the arbiter's own 1e-9 tolerance) bounds the distance
+    # to the quadrature arbiter
+    accepted = 0
+    for k in (4, 10):
+        for a in (0.05, 0.3, 0.5):
+            for n in sorted({k + 1, 2 * k, 30, 60, 100}):
+                for p_u in (0.1, 1.0, 10.0, 100.0):
+                    cfg, fad, exp = scenario1(n, a, p_u=p_u, k=k)
+                    value, _, est = cf._rate_general(cfg, 1.0, exp)
+                    if not est <= cf._RATE_RELERR_LIMIT:
+                        continue
+                    accepted += 1
+                    ref = cf.rate_by_quadrature(cfg, fad, exp, 0, 0)
+                    assert abs(value - ref) <= (est + 2e-9) * ref, \
+                        (k, a, n, p_u)
+    assert accepted >= 20
+
+
 def test_infinite_snr_paths_emit_no_runtime_warning():
-    # 1/p_u = 0 must not reach log(0) or 0/0 anywhere; nu = 36 sends the
-    # MGF to its quadrature, nu = 11 keeps it on the closed sum
+    # 1/p_u = 0 must not reach log(0) or 0/0 anywhere, at nu = 11 and 36
     mod = cf.ModulationScheme(4)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)

@@ -116,8 +116,8 @@ def test_estimate_rate_single_cell_vs_quadrature():
     # L = 1, N = K: rate of log2(1 + p_u X) with X exponential
     cfg = SystemConfig(1, 4, 4, 5.0)
     fad = symmetric_fading(1, 4)
-    from mumimo.specfun import expint_e1_scaled
-    want = expint_e1_scaled(1.0 / 5.0) / math.log(2.0)
+    from mumimo.specfun import expint_en_scaled
+    want = expint_en_scaled(1, 1.0 / 5.0) / math.log(2.0)
     est = mc.estimate_rate(cfg, fad,
                            mc.TrialPlan(20_000, base_seed=6,
                                         batch_size=2000))

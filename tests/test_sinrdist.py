@@ -6,14 +6,95 @@ import pytest
 from mumimo import sinrdist as sd
 from mumimo.fading import (LargeScaleFading, SystemConfig, build_profile,
                            characteristic_coefficients, symmetric_fading)
-from mumimo.montecarlo import ks_statistic, ks_two_sample
+from mumimo.montecarlo import ks_two_sample
 from mumimo.quadrature import integrate_semi_infinite
+from mumimo.specfun import expint_en_scaled, hyp2f0_neg
 
 
 def scenario1_model(n=20, k=10, cells=4, a=0.1, p_u=10.0):
     cfg = SystemConfig(cells, k, n, p_u)
     fad = symmetric_fading(cells, k, 1.0, a)
     return cfg, fad, sd.make_sinr_model(cfg, fad, 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# the paper's closed-form MGF, kept as a reference for the one-node integral
+# ---------------------------------------------------------------------------
+
+_CANCEL_LIMIT = 1e12
+
+
+def mgf_closed_sum(model, s):
+    """The paper's MGF, a binomial sum of 2F0 terms over the expansion;
+    returns (value, condition_estimate).
+
+    The binomial sum's terms total at least (1 + |ratio|)^nu in absolute
+    value (times slowly-varying 2F0 factors), so when that alone exceeds
+    the guard the expensive per-term evaluation is skipped outright.
+    """
+    nu = model.desired.shape
+    beta = model.desired.scale
+    cp = beta * s + 1.0 / model.p_u
+    ratio = -beta * s / cp  # -1 in the high-SNR limit 1/p_u = 0
+    # skip a little before the guard itself would reject: near the
+    # boundary the per-term evaluation is pure wasted work
+    if nu * math.log1p(abs(ratio)) > math.log(_CANCEL_LIMIT / 100.0):
+        return math.nan, math.inf
+    ld = np.longdouble
+    distinct = bool(np.all(model.interference.expansion.tau == 1))
+    total = ld(0.0)
+    total_abs = ld(0.0)
+    for mu, n, chi in model.interference.expansion.terms_hi():
+        if chi == 0.0:
+            continue
+        lbin = ld(0.0)  # log C(nu, p) running
+        for p in range(nu + 1):
+            if p > 0:
+                lbin += np.log(ld(nu - p + 1)) - np.log(ld(p))
+            if distinct:
+                # order-1 eigenvalues: 2F0(1, p; --; -x) reduces to scaled E_p
+                zz = cp / float(mu)
+                f = ld(zz) * ld(expint_en_scaled(p, zz))
+            else:
+                f = ld(hyp2f0_neg(n, p, float(mu) / cp))
+            term = np.exp(lbin + p * np.log(ld(abs(ratio)))) * chi * f \
+                if ratio != 0 else (chi * f if p == 0 else ld(0.0))
+            if ratio < 0 and p % 2 == 1:
+                term = -term
+            total += term
+            total_abs += abs(term)
+    value = float(total)
+    if not math.isfinite(value) or value == 0.0:
+        return value, math.inf
+    return value, float(total_abs) / abs(value)
+
+
+def mgf_closed(model, s):
+    """E{e^{-s gamma}} from the closed sum; the one-node integral where the
+    sum's condition estimate reaches the guard."""
+    if s < 0:
+        raise ValueError("requires s >= 0")
+    if s == 0:
+        return 1.0
+    if model.interference.is_zero:
+        return sd._mgf_no_interference(model, s)
+    value, cond = mgf_closed_sum(model, s)
+    if cond < _CANCEL_LIMIT:
+        return min(1.0, max(0.0, value))
+    return min(1.0, max(0.0, sd.mgf_weighted_sum(model, [s], [1.0])))
+
+
+def sample_sinr_limit(model, rng, size=None):
+    """Draw the p_u -> infinity limit X/Z (requires interference)."""
+    if model.interference.is_zero:
+        raise ValueError("X/Z undefined without interference")
+    count = 1 if size is None else int(size)
+    x = sd._erlang_draws(rng, count, model.desired.shape, model.desired.scale)
+    rates = model.interference.expansion.rates()
+    u = rng.random((count, rates.size))
+    z = -(np.log(u) * rates).sum(axis=1)
+    out = x / z
+    return float(out[0]) if size is None else out
 
 
 def test_desired_power_dist_validation():
@@ -115,7 +196,7 @@ def test_mgf_closed_matches_quadrature_scenario1():
     # amplifies by its condition number (~1e2 here)
     _, _, model = scenario1_model()
     for s in (0.2, 1.0, 5.0):
-        np.testing.assert_allclose(sd.mgf_sinr(model, s),
+        np.testing.assert_allclose(mgf_closed(model, s),
                                    sd.mgf_weighted_sum(model, [s], [1.0]),
                                    rtol=5e-9)
 
@@ -123,7 +204,7 @@ def test_mgf_closed_matches_quadrature_scenario1():
 def test_mgf_quadrature_finds_a_narrow_interference_density():
     # cross gain 1e-8: the interference mean (3e-7) is far below 1/p_u
     _, _, model = scenario1_model(a=1e-8)
-    closed, cond = sd._mgf_closed(model, 0.1)
+    closed, cond = mgf_closed_sum(model, 0.1)
     assert cond < 1e6
     np.testing.assert_allclose(closed, 4.8829e-4, rtol=1e-4)
     np.testing.assert_allclose(sd.mgf_weighted_sum(model, [0.1], [1.0]),
@@ -154,9 +235,42 @@ def test_mgf_distinct_profile_reduced_path():
     cfg = SystemConfig(3, 4, 9, 3.0)
     model = sd.make_sinr_model(cfg, LargeScaleFading(beta), 0, 0)
     for s in (0.3, 1.0, 4.0):
-        np.testing.assert_allclose(sd.mgf_sinr(model, s),
+        np.testing.assert_allclose(mgf_closed(model, s),
                                    sd.mgf_weighted_sum(model, [s], [1.0]),
                                    rtol=1e-9)
+
+
+DISTINCT_GAINS = 0.05 * 10 ** (np.arange(8) / 7)  # geometric in [0.05, 0.5]
+
+
+def test_mgf_sinr_matches_mpmath():
+    # L=3, K=4, the 8 cross gains all distinct; the closed sum is off by
+    # 1.6e-8 (N=16, s=1) and 5.9e-6 (N=16, s=5) here
+    mp = pytest.importorskip("mpmath")
+    beta = np.ones((3, 3, 4))
+    beta[0, 1:] = np.reshape(DISTINCT_GAINS, (2, 4))
+    for n in (8, 16):
+        model = sd.make_sinr_model(SystemConfig(3, 4, n, 10.0),
+                                   LargeScaleFading(beta), 0, 0)
+        for s in (1.0, 5.0):
+            with mp.workdps(40):
+                # partial-fraction density of Z, a sum of exponentials of
+                # means mu_m: sum_m chi_m e^{-z/mu_m} / mu_m
+                mus = [mp.mpf(float(g)) for g in DISTINCT_GAINS]
+                chi = [mp.fprod(m / (m - j) for j in mus if j != m)
+                       for m in mus]
+                t0 = 1 / mp.mpf(10.0)
+
+                def f(z):
+                    pdf = mp.fsum(c * mp.exp(-z / m) / m
+                                  for c, m in zip(chi, mus))
+                    return pdf * (1 + mp.mpf(s) / (z + t0)) ** (3 - n)
+
+                mean = mp.fsum(mus)
+                ref = float(mp.quad(f, [0, mean / 4, mean, 4 * mean,
+                                        16 * mean, mp.inf]))
+            np.testing.assert_allclose(sd.mgf_sinr(model, s), ref,
+                                       rtol=1e-12)
 
 
 def test_sample_sinr_zero_power_limit():
@@ -211,7 +325,7 @@ def test_remark1_high_snr_limit_in_distribution():
     model_hi = sd.make_sinr_model(hi, fad, 0, 0)
     n = 100_000
     a = sd.sample_sinr(model_hi, np.random.default_rng(3), size=n)
-    b = sd.sample_sinr_limit(model_hi, np.random.default_rng(4), size=n)
+    b = sample_sinr_limit(model_hi, np.random.default_rng(4), size=n)
     stat = ks_two_sample(a, b)
     assert stat < 1.628 * math.sqrt(2.0 / n)
 
