@@ -2,19 +2,21 @@
 symbol error rate (exact, high-SNR floor, three-point approximation), and
 outage probability.
 
-Every expression is an exact finite formula for the post-ZF SINR law, but
-the rate contains binomial-weighted alternating sums that cancel
-catastrophically once N - K is large.  They are accumulated in extended
-precision with a running condition estimate (sum |terms| / |sum|) and a
-propagated error estimate that includes each Ei-moment kernel's own
-(condition x 2.3e-16).  The closed rate runs no quadrature: it is accepted
-whole, or, when either estimate exceeds its guard, the whole call goes to
-`rate_by_quadrature`, the adaptive integral of the defining expression, and
-the event is recorded in the caller's QualityLog.
+Every expression is exact for the post-ZF SINR law, but the rate contains
+binomial-weighted alternating sums that cancel catastrophically once N - K
+is large.  They are accumulated in extended precision with a running
+condition estimate (sum |terms| / |sum|) and a propagated error estimate
+that includes each Ei-moment kernel's own (condition x 2.3e-16).  The
+closed rate runs no quadrature: it is accepted whole, or, when either
+estimate exceeds its guard, the whole call goes to `rate_by_quadrature`,
+the adaptive integral of the defining expression, and the event is
+recorded in the caller's QualityLog.
 
 Each SER is one adaptive integral over the interference density of the
 conditional Erlang transform summed over a fixed theta rule (Craig's form
-of the M-PSK error integral): no alternating sum, guard or fallback.
+of the M-PSK error integral): no alternating sum, guard or fallback.  The
+outage is the tail of a Poisson plus negative-binomial count over the gains
+(`sinrdist._count_tail`): positive terms only, no guard or fallback.
 """
 
 import math
@@ -25,8 +27,8 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .quadrature import QuadratureSpec, integrate_semi_infinite
-from .sinrdist import (InterferencePowerDist, make_sinr_model,
-                       mgf_weighted_sum, pdf_z)
+from .sinrdist import (InterferencePowerDist, _count_tail,
+                       make_sinr_model, mgf_weighted_sum, pdf_z)
 from .specfun import (_ei_moment_closed, _ei_moment_sequence,
                       _log_moment_normalized, digamma_int, tricomi_u)
 # unused here; bound because benchmark/tracing.py wraps them by name
@@ -223,7 +225,7 @@ def _rate_general(config, beta, expansion):
     total = ld(0.0)
     total_abs = ld(0.0)
     err = ld(0.0)
-    for mu, n, chi in expansion.terms_hi():
+    for mu, n, chi in expansion.terms():
         if chi == 0.0:
             continue
         alph = 1.0 / float(mu) - 1.0 / beta
@@ -302,12 +304,12 @@ def rate_lower_bound(config, fading, expansion, user, cell):
     nu = config.zf_shape
     p_u = config.transmit_snr
     log_interf = 0.0
-    for mu, n, chi in expansion.terms():
-        if chi == 0.0:
-            continue
-        log_interf += chi * _log_moment_normalized(n, mu, p_u)
-    value = math.log1p(p_u * beta
-                       * math.exp(digamma_int(nu) - log_interf)) * LOG2E
+    for mu, chi_m in zip(expansion.mu.tolist(), expansion.chi):
+        for n, chi in enumerate(chi_m, 1):
+            if chi != 0.0:
+                log_interf += chi * _log_moment_normalized(n, mu, p_u)
+    value = math.log1p(p_u * beta * math.exp(
+        digamma_int(nu) - float(log_interf))) * LOG2E
     return RateResult(value, "lower_bound")
 
 
@@ -364,44 +366,21 @@ def ser_approx(config, fading, expansion, modulation, user, cell):
 # ---------------------------------------------------------------------------
 
 def outage_exact(config, fading, expansion, user, cell, gamma_th):
-    """P{gamma <= gamma_th}: exact finite-sum outage probability."""
+    """P{gamma <= gamma_th}, exact: given Z it is P{Poisson(c (Z + 1/p_u))
+    >= N - K + 1}, c = gamma_th / beta, and a Poisson count mixed over an
+    exponential of mean mu is geometric with ratio c mu / (1 + c mu).  So
+    the outage is the tail of Poisson(c / p_u) plus one negative binomial
+    per distinct gain: positive terms over the gains, not the expansion."""
     if gamma_th <= 0:
         return 0.0
-    beta = fading.direct_gain(cell, user)
-    p_u = config.transmit_snr
-    if expansion.is_empty:
-        from .sinrdist import DesiredPowerDist, cdf_x
-        return cdf_x(DesiredPowerDist(config.zf_shape, beta),
-                     gamma_th / p_u)
-    big_j = config.zf_shape - 1  # N - K
-    c = gamma_th / beta
-    t = 1.0 / p_u
-    ld = np.longdouble
-    # B_j = (c t)^j / j!
-    b = np.empty(big_j + 1, dtype=ld)
-    b[0] = 1.0
-    for j in range(big_j):
-        b[j + 1] = b[j] * c * t / (j + 1)
-    total = ld(0.0)
-    for mu, n, chi in expansion.terms_hi():
-        if chi == 0.0:
-            continue
-        d = 1.0 / float(mu) + c
-        # A_q = c^q Gamma(n+q) mu^-n / ((n-1)! q! d^{n+q}), q = 0..J
-        a = np.empty(big_j + 1, dtype=ld)
-        a[0] = np.exp(-ld(n) * (np.log(mu) + np.log(ld(d))))
-        for q in range(big_j):
-            a[q + 1] = a[q] * c * (n + q) / ((q + 1) * d)
-        s_a = np.cumsum(a)
-        inner = np.sum(b * s_a[::-1])
-        total += chi * inner
-    value = 1.0 - math.exp(-c * t) * float(total)
-    return min(1.0, max(0.0, value))
+    c = gamma_th / fading.direct_gain(cell, user)
+    return _count_tail(c / config.transmit_snr, expansion.tau,
+                       c * expansion.mu, config.zf_shape)
 
 
 def outage_small_threshold(config, fading, expansion, user, cell, gamma_th):
     """Small-threshold / high-SNR outage asymptote: `outage_exact` at
-    1/p_u = 0, where only the p = q terms survive; independent of the
-    transmit power."""
+    1/p_u = 0, where the Poisson part of the count vanishes; independent of
+    the transmit power."""
     return outage_exact(replace(config, transmit_snr=math.inf), fading,
                         expansion, user, cell, gamma_th)

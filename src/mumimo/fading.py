@@ -117,32 +117,26 @@ class CharacteristicExpansion:
     """Partial-fraction weights chi[m][n-1] of prod_m (1 - mu_m s)^-tau_m in
     the basis (1 - mu_m s)^-n.
 
-    `chi` is float64; `chi_hi` keeps the extended-precision values the
-    recursion produced, since the expansion is intrinsically cancellation-
-    prone and a few extra digits in the coefficients are cheap insurance.
+    `chi` keeps the extended-precision values the recursion produced, since
+    the expansion is intrinsically cancellation-prone and a few extra digits
+    in the coefficients are cheap insurance.
     """
 
     mu: np.ndarray
     tau: np.ndarray
-    chi: tuple  # tuple of 1-D float arrays, chi[m] has length tau[m]
-    chi_hi: tuple = None
+    chi: tuple  # tuple of 1-D longdouble arrays, chi[m] has length tau[m]
 
     @property
     def is_empty(self):
         return self.mu.size == 0
 
     def terms(self):
-        """Yield (mu_m, n, chi_mn) over every term of the expansion."""
-        for m, mu_m in enumerate(self.mu):
-            for n in range(1, int(self.tau[m]) + 1):
-                yield float(mu_m), n, float(self.chi[m][n - 1])
-
-    def terms_hi(self):
-        """terms() but with the extended-precision coefficients."""
-        chi = self.chi_hi if self.chi_hi is not None else self.chi
-        for m, mu_m in enumerate(self.mu):
-            for n in range(1, int(self.tau[m]) + 1):
-                yield np.longdouble(mu_m), n, chi[m][n - 1]
+        """Yield (mu_m, n, chi_mn) over every term of the expansion, in
+        extended precision."""
+        for mu_m, chi_m in zip(self.mu, self.chi):
+            mu_m = np.longdouble(mu_m)
+            for n, chi in enumerate(chi_m, 1):
+                yield mu_m, n, chi
 
     def rates(self):
         """The underlying exponential means: each mu_m repeated tau_m times."""
@@ -152,20 +146,14 @@ class CharacteristicExpansion:
         """E e^{s Z} via the expansion; defined for s < 1/max(mu)."""
         if self.is_empty:
             return 1.0
-        total = np.longdouble(0.0)
-        for mu_m, n, chi in self.terms_hi():
-            total = total + chi * (np.longdouble(1.0) - mu_m * np.longdouble(s)) ** (-n)
-        return float(total)
+        return float(sum(chi * (1 - mu_m * s) ** -n
+                         for mu_m, n, chi in self.terms()))
 
     def mgf_exact(self, s):
         """E e^{s Z} directly from the product form (reference path)."""
-        if self.is_empty:
-            return 1.0
-        total = np.longdouble(1.0)
-        for mu_m, t in zip(self.mu, self.tau):
-            total = total * (np.longdouble(1.0) - np.longdouble(mu_m)
-                             * np.longdouble(s)) ** (-int(t))
-        return float(total)
+        ld = np.longdouble
+        return float(np.prod((1 - self.mu.astype(ld) * ld(s))
+                             ** -self.tau.astype(ld)))
 
     @staticmethod
     def empty():
@@ -250,9 +238,7 @@ def characteristic_coefficients(profile):
             f"partial-fraction coefficients sum to 1 {miss:+.2e}; the "
             "expansion has lost its accuracy and the closed forms built on "
             "it are unreliable", RuntimeWarning)
-    return CharacteristicExpansion(mu.copy(), tau.copy(),
-                                   tuple(c.astype(float) for c in chi),
-                                   tuple(chi))
+    return CharacteristicExpansion(mu.copy(), tau.copy(), tuple(chi))
 
 
 # ---------------------------------------------------------------------------

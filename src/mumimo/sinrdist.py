@@ -7,9 +7,11 @@ are exact distributional identities for the zero-forcing receiver, so this
 module doubles as a fast sampler equivalent to full channel-matrix
 simulation.
 
-Transforms of gamma (the MGF, any weighted sum of MGF values, the CDF) are
-each one adaptive integral over the interference density of a conditional
-Erlang expression: no alternating sum, hence no cancellation guard.
+Transforms of gamma (the MGF, any weighted sum of MGF values, the CDF
+arbiter) are each one adaptive integral over the interference density of a
+conditional Erlang expression: no alternating sum, hence no cancellation
+guard.  The Erlang CDF and the outage are the tail of one Poisson plus
+negative-binomial count over the gains (`_count_tail`).
 """
 
 import math
@@ -112,36 +114,65 @@ def pdf_x(dist, x):
     return float(out) if out.ndim == 0 else out
 
 
-_LOG_FACTORIALS = {}
+_TAIL_RTOL = 1e-17  # neglected remainder of a summed tail, relative to it
 
 
-def _log_factorials(s):
-    """[ln 0!, ln 1!, ..., ln (s-1)!], cached per shape."""
-    if s not in _LOG_FACTORIALS:
-        _LOG_FACTORIALS[s] = np.concatenate(
-            ([0.0], np.cumsum(np.log(np.arange(1, s)))))
-    return _LOG_FACTORIALS[s]
+def _count_tail(lam, tau, odds, nu):
+    """P{M >= nu} for M = Poisson(lam) + sum_m NegBin(tau_m, r_m), where
+    r_m = odds_m / (1 + odds_m) (arrays tau, odds), from positive terms
+    only.
+
+    Each component's pmf on 0..n-1 is taken relative to its largest value
+    there, whose logs add up to one log scale, so e^{-lam} prod_m
+    (1 - r_m)^tau_m may lie far below the double range.  The truncated
+    convolution q is exact below n.  If the head S = P{M < nu} is at most
+    1/2 the result is 1 - S; otherwise the tail is summed until a bound on
+    the rest falls below _TAIL_RTOL of it (M is log-concave, so q falls at
+    least as fast as its last ratio), relative to the whole mass.
+    """
+    if nu <= 0:
+        return 1.0
+    if lam <= 0 and len(tau) == 0:  # M = 0 (also x <= 0 in cdf_x)
+        return 0.0
+    n = 2 * nu + 31
+    while True:
+        inv_k1 = 1.0 / np.arange(1.0, n)  # 1 / (k + 1) for k = 0 .. n-2
+        # per component: ln p(0), the ratios p(k+1) / p(k) and the mode
+        parts = [(-lam, lam * inv_k1, int(lam))] if lam > 0 else []
+        parts += [(-t * math.log1p(s), s / (1 + s) * (1 + (t - 1) * inv_k1),
+                   int((t - 1) * s))
+                  for t, s in zip(tau.tolist(), odds.tolist())]
+        q, log_scale = None, 0.0
+        for log_p0, up, a in parts:
+            # p(k) / p(a), a the mode within 0..n-1, as products of ratios
+            a = min(a, n - 1)
+            pmf = np.ones(n)
+            pmf[a + 1:] = np.cumprod(up[a:])
+            log_scale += log_p0
+            if a:
+                pmf[:a] = np.cumprod(1.0 / up[a - 1::-1])[::-1]
+                log_scale += math.fsum(np.log(up[:a]))
+            q = pmf if q is None else np.convolve(q, pmf)[:n]
+        head = float(q[:nu].sum())
+        log_head = math.log(head) + log_scale if head else -math.inf
+        if log_head <= -math.log(2.0):
+            return 1.0 - math.exp(log_head)
+        tail, last = float(q[nu:].sum()), float(q[-1])
+        rho = last / float(q[-2]) if last else 0.0
+        if rho < 1.0 and last * rho <= _TAIL_RTOL * tail * (1.0 - rho):
+            return tail / (head + tail)
+        n = 2 * n if rho >= 1.0 else n + 2 + int(
+            math.log(_TAIL_RTOL * tail * (1.0 - rho) / (last * rho))
+            / math.log(rho))
 
 
 def cdf_x(dist, x):
-    """Erlang CDF: 1 - e^{-x/b} sum_{p<shape} (x/b)^p / p!."""
-    s, b = dist.shape, dist.scale
-    lf = _log_factorials(s)
-    powers = np.arange(s)
-
-    def scalar(v):
-        if v <= 0:
-            return 0.0
-        t = v / b
-        logs = powers * math.log(t) - lf
-        top = logs.max()
-        tail = math.exp(top - t) * float(np.exp(logs - top).sum())
-        return max(0.0, 1.0 - tail)
-
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        return scalar(float(x))
-    return np.array([scalar(v) for v in x.ravel()]).reshape(x.shape)
+    """Erlang CDF P{X <= x} = P{Poisson(x / scale) >= shape}."""
+    no_gains = np.empty(0)
+    out = np.vectorize(lambda v: _count_tail(v / dist.scale, no_gains,
+                                             no_gains, dist.shape),
+                       otypes=[float])(x)
+    return float(out) if out.ndim == 0 else out
 
 
 def pdf_z(dist, z):
@@ -152,7 +183,7 @@ def pdf_z(dist, z):
     out = np.zeros(z.shape, dtype=np.longdouble)
     pos = z > 0
     zp = z[pos]
-    for mu, n, chi in dist.expansion.terms_hi():
+    for mu, n, chi in dist.expansion.terms():
         term = np.exp(-zp / mu + (n - 1) * np.log(zp / mu)
                       - np.longdouble(math.lgamma(n))) / mu
         out[pos] += chi * term
@@ -253,11 +284,13 @@ def sample_sinr(model, rng, size=None):
 
 def sinr_cdf_quadrature(model, threshold,
                         spec=QuadratureSpec(relative_tolerance=1e-9,
-                                            absolute_tolerance=1e-12)):
+                                            absolute_tolerance=1e-300)):
     """P{gamma <= threshold} by integrating the Erlang CDF against pdf_z.
 
-    Quadrature-only path, kept independent of the closed-form outage
-    expression so the two can arbitrate each other.
+    Quadrature path over the partial-fraction density, kept independent of
+    the count law behind the closed-form outage so the two can arbitrate
+    each other.  The tolerance is relative only, so tails far below 1e-12
+    are resolved too.
     """
     if threshold < 0:
         return 0.0

@@ -217,7 +217,7 @@ def test_rate_sums_build_one_ei_moment_sequence_per_term(monkeypatch,
     monkeypatch.setattr(cf, "_ei_moment_closed", counted_closed)
     value, _, _ = cf._rate_general(cfg, fad.direct_gain(0, 0), exp)
     assert math.isfinite(value)
-    terms = sum(1 for _, _, chi in exp.terms_hi() if chi != 0.0)
+    terms = sum(1 for _, _, chi in exp.terms() if chi != 0.0)
     big_j = cfg.zf_shape - 1
     assert len(sequences) == terms
     # one kernel per (term, w = J .. 0), each reading its term's sequence
@@ -404,12 +404,100 @@ def test_outage_limits_and_monotonicity():
 
 
 def test_outage_matches_quadrature_cdf():
-    cfg, fad, exp = scenario1(20, 0.1)
-    model = sd.make_sinr_model(cfg, fad, 0, 0, expansion=exp)
-    for gth in (0.5, 1.0, 3.0, 6.0):
-        np.testing.assert_allclose(
-            cf.outage_exact(cfg, fad, exp, 0, 0, gth),
-            sd.sinr_cdf_quadrature(model, gth), atol=1e-10)
+    # down to 4.9e-25 at N = 40: the arbiter's tolerance is relative only
+    for n in (20, 40, 50):
+        cfg, fad, exp = scenario1(n, 0.1)
+        model = sd.make_sinr_model(cfg, fad, 0, 0, expansion=exp)
+        for gth in (0.5, 1.0, 3.0, 6.0):
+            np.testing.assert_allclose(
+                cf.outage_exact(cfg, fad, exp, 0, 0, gth),
+                sd.sinr_cdf_quadrature(model, gth), rtol=1e-9)
+
+
+def _mp_outage(mp, nu, c, t0, pdf, edges, method="tanh-sinh"):
+    """int_0^inf P{Gamma(nu, 1) <= c (z + t0)} pdf(z) dz with mpmath."""
+    return mp.quad(lambda z: mp.gammainc(nu, 0, c * (z + t0),
+                                         regularized=True) * pdf(z), edges,
+                   method=method)
+
+
+def _mp_gamma_pdf(mp, shape, scale):
+    return lambda z: (z ** (shape - 1) * mp.exp(-z / scale)
+                      / (mp.gamma(shape) * scale ** shape))
+
+
+@pytest.mark.parametrize("n", (40, 50, 100))
+def test_outage_tail_matches_mpmath(n):
+    # Z ~ Gamma(30, 0.1) at scenario 1; outage from 1.4e-93 to 4.9e-15
+    mp = pytest.importorskip("mpmath")
+    cfg, fad, exp = scenario1(n, 0.1)
+    with mp.workdps(30):
+        pdf = _mp_gamma_pdf(mp, 30, mp.mpf(0.1))
+        for gth in (0.5, 1.0, 2.0):
+            ref = _mp_outage(mp, cfg.zf_shape, mp.mpf(gth), mp.mpf(0.1),
+                             pdf, mp.linspace(0, 40, 81) + [mp.inf],
+                             # tanh-sinh misses these deep tails by ~1e-13
+                             method="gauss-legendre")
+            np.testing.assert_allclose(
+                cf.outage_exact(cfg, fad, exp, 0, 0, gth), float(ref),
+                rtol=1e-12)
+
+
+def test_outage_on_expansion_breakdown_matches_mpmath():
+    # 30 cross gains geometric in [0.05, 0.2]: the partial-fraction
+    # expansion of Z breaks down, the count law reads only the gains
+    mp = pytest.importorskip("mpmath")
+    gains = 0.05 * 4 ** (np.arange(30) / 29)
+    with pytest.warns(RuntimeWarning, match="sum to 1"):
+        cfg, fad, exp = profile_system(4, 10, gains, 20, 10.0)
+    with mp.workdps(80):
+        mus = [mp.mpf(float(g)) for g in gains]
+        chi = [mp.fprod(m / (m - j) for j in mus if j != m) for m in mus]
+
+        def pdf(z):
+            return mp.fsum(c * mp.exp(-z / m) / m for c, m in zip(chi, mus))
+
+        mean = mp.fsum(mus)
+        ref = _mp_outage(mp, cfg.zf_shape, mp.mpf(1), mp.mpf(0.1), pdf,
+                         [0, mean / 4, mean, 4 * mean, 16 * mean, mp.inf])
+    np.testing.assert_allclose(cf.outage_exact(cfg, fad, exp, 0, 0, 1.0),
+                               float(ref), rtol=1e-12)
+
+
+def test_outage_with_mean_count_beyond_double_range_matches_mpmath():
+    # c t = 1000: e^{-ct} underflows, yet the outage is about one half
+    mp = pytest.importorskip("mpmath")
+    cfg, fad, exp = scenario1(1040, 0.1, p_u=0.01)
+    with mp.workdps(30):
+        ref = _mp_outage(mp, cfg.zf_shape, mp.mpf(10), mp.mpf(100),
+                         _mp_gamma_pdf(mp, 30, mp.mpf(0.1)),
+                         mp.linspace(0, 20, 41) + [mp.inf],
+                         method="gauss-legendre")
+    got = cf.outage_exact(cfg, fad, exp, 0, 0, 10.0)
+    np.testing.assert_allclose(got, float(ref), rtol=1e-9)
+
+
+def test_outage_with_stiff_cross_gain_matches_mpmath():
+    # one cross gain 100 x the direct gain: geometric ratio 100/101 at
+    # gamma_th = 1, so the count's tail runs far past 2 (N - K + 1)
+    mp = pytest.importorskip("mpmath")
+    cross = np.full(10, 0.1)
+    cross[0] = 100.0
+    cfg, fad, exp = profile_system(2, 10, cross, 100, 10.0)
+    with mp.workdps(30):
+        # Z = Exp(100) + Gamma(9, 0.1), by convolving the two densities
+        rate = 10 - mp.mpf(1) / 100
+
+        def pdf(z):
+            return (mp.exp(-z / 100) / 100 * (10 / rate) ** 9
+                    * mp.gammainc(9, 0, rate * z, regularized=True))
+
+        for gth in (0.5, 1.0):
+            ref = _mp_outage(mp, cfg.zf_shape, mp.mpf(gth), mp.mpf(0.1),
+                             pdf, [0, 1, 10, 100, 1000, mp.inf])
+            got = cf.outage_exact(cfg, fad, exp, 0, 0, gth)
+            assert got < 0.5
+            np.testing.assert_allclose(got, float(ref), rtol=1e-12)
 
 
 def test_quadrature_cdf_at_tiny_transmit_power():

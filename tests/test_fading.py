@@ -113,7 +113,7 @@ def test_coefficients_sum_to_one():
     for _ in range(50):
         _, exp = _draw_profile(rng)
         total = np.longdouble(0.0)
-        for _, _, chi in exp.terms_hi():
+        for _, _, chi in exp.terms():
             total += chi
         assert abs(float(total) - 1.0) < 1e-12
 
@@ -172,7 +172,7 @@ def test_coefficient_sum_warns_when_the_expansion_breaks_down():
         for cfg, fad in (_cross_gain_fading([0.1] * 30),
                          _cross_gain_fading(distinct, cells=3, users=4)):
             exp = characteristic_coefficients(build_profile(cfg, fad, 0))
-            assert abs(sum(c for _, _, c in exp.terms_hi()) - 1) < 1e-12
+            assert abs(sum(c for _, _, c in exp.terms()) - 1) < 1e-12
 
 
 def test_rates_expand_the_diagonal():

@@ -44,7 +44,7 @@ def mgf_closed_sum(model, s):
     distinct = bool(np.all(model.interference.expansion.tau == 1))
     total = ld(0.0)
     total_abs = ld(0.0)
-    for mu, n, chi in model.interference.expansion.terms_hi():
+    for mu, n, chi in model.interference.expansion.terms():
         if chi == 0.0:
             continue
         lbin = ld(0.0)  # log C(nu, p) running
@@ -140,6 +140,20 @@ def test_cdf_x_matches_quadrature_of_pdf():
         - integrate_semi_infinite(lambda x: sd.pdf_x(dist, x), 5.0,
                                   scale=8.0)
     np.testing.assert_allclose(got, want, rtol=1e-8)
+
+
+def test_cdf_x_matches_mpmath():
+    mp = pytest.importorskip("mpmath")
+    for nu in (1, 10, 91):
+        dist = sd.DesiredPowerDist(nu, 2.0)
+        for y in (1e-3, 0.5, 5.0, 50.0):
+            with mp.workdps(30):
+                ref = mp.gammainc(nu, 0, y, regularized=True)
+            got = sd.cdf_x(dist, 2.0 * y)
+            if ref < 1e-300:  # 1.3e-413 at nu = 91, y = 1e-3
+                assert got == 0.0
+            else:
+                np.testing.assert_allclose(got, float(ref), rtol=1e-13)
 
 
 def test_pdf_z_single_term_is_erlang():
