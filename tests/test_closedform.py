@@ -184,6 +184,55 @@ def test_bound_remark3_limit():
     np.testing.assert_allclose(bound, math.log2(11.0), rtol=0.01)
 
 
+def bound_mpmath(mp, cfg, fad, p_u):
+    """The Jensen bound at 30 digits, with E ln(1 + p_u Z) the integral
+    over u = ln s of (1 - prod_m (1 + mu_m s)^-tau_m) e^{-s / p_u}."""
+    profile = build_profile(cfg, fad, 0)
+    with mp.workdps(30):
+        mus = [mp.mpf(float(m)) for m in profile.mu]
+        taus = [int(t) for t in profile.tau]
+        t0 = 1 / mp.mpf(p_u)
+
+        def f(u):
+            s = mp.exp(u)
+            log_mgf = mp.fsum(k * mp.log1p(m * s) for m, k in zip(mus, taus))
+            return -mp.expm1(-log_mgf) * mp.exp(-s * t0)
+
+        # beyond these ends the integrand is below e^-60 of its scale
+        lo = -mp.log(mp.fsum(m * k for m, k in zip(mus, taus)) + t0)
+        hi = mp.log(mp.mpf(p_u))
+        log_interf = mp.quad(f, [lo - 60, lo - 30, lo, hi, hi + 5])
+        beta = mp.mpf(fad.direct_gain(0, 0))
+        return float(mp.log(1 + p_u * beta * mp.exp(
+            mp.digamma(cfg.zf_shape) - log_interf), 2))
+
+
+@pytest.mark.parametrize("system", [
+    lambda: profile_system(4, 10, BREAKDOWN_GAINS, 20, 10.0),
+    lambda: scenario1(20, 0.1, p_u=1e-6),
+    lambda: scenario1(20, 0.1, p_u=1e6),
+    lambda: distinct_profile(16, 1e-6),
+    lambda: distinct_profile(16, 1e6),
+], ids=["breakdown", "s1-1e-6", "s1-1e6", "distinct-1e-6", "distinct-1e6"])
+def test_bound_matches_mpmath(system):
+    # the breakdown profile's expansion misses summing to 1: a bound from
+    # its coefficients gave 0.352 where the bound is 2.0637
+    mp = pytest.importorskip("mpmath")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        cfg, fad, exp = system()
+    got = cf.rate_lower_bound(cfg, fad, exp, 0, 0).value
+    want = bound_mpmath(mp, cfg, fad, cfg.transmit_snr)
+    np.testing.assert_allclose(got, want, rtol=1e-13)
+
+
+def test_bound_needs_a_finite_transmit_power():
+    cfg, fad, exp = scenario1(20, 0.1)
+    with pytest.raises(ValueError, match="transmit_snr"):
+        cf.rate_lower_bound(replace(cfg, transmit_snr=math.inf), fad, exp,
+                            0, 0)
+
+
 def test_cell_sum_rate_symmetric_shortcut():
     cfg, fad, exp = scenario1(20, 0.1)
     total = cf.cell_sum_rate(cfg, fad, 0, exp)
@@ -348,28 +397,136 @@ def test_theta_rule_matches_adaptive_integration(psk_order):
             assert abs(got - want) <= atol + 1e-12 * want, (nu, snr_db)
 
 
-def test_ser_runs_one_integral_and_no_mgf_sinr(monkeypatch):
+class GainsOnly:
+    """An expansion that holds the gains (mu, tau) and nothing else: reading
+    chi, terms() or mgf() fails the test."""
+
+    def __init__(self, mu, tau):
+        self.mu, self.tau = mu, tau
+
+    @property
+    def is_empty(self):
+        return self.mu.size == 0
+
+    def rates(self):
+        return np.repeat(self.mu, self.tau)
+
+    def __getattr__(self, name):
+        raise AssertionError(f"read expansion.{name}")
+
+
+def gains_only(cfg, fad):
+    profile = build_profile(cfg, fad, 0)
+    return GainsOnly(profile.mu, profile.tau)
+
+
+def test_ser_mgf_and_bound_run_no_integral_and_read_only_the_gains(
+        monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("an SER call evaluated the MGF node by node")
+        raise AssertionError("called a refused function")
 
-    for module, name in ((sd, "mgf_sinr"), (sd, "mgf_sinr_high_snr"),
-                         (sd, "hyp2f0_neg"), (sd, "expint_en_scaled"),
-                         (cf, "mgf_sinr"), (cf, "mgf_sinr_high_snr")):
-        monkeypatch.setattr(module, name, refuse)
-    calls = []
-    plain = quadrature.integrate
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return plain(*args, **kwargs)
-
-    monkeypatch.setattr(quadrature, "integrate", counted)
+    systems = [scenario1(20, 0.1), distinct_profile(16, 10.0)]
     mod = cf.ModulationScheme(4)
-    for system in (scenario1(20, 0.1), distinct_profile(16, 10.0)):
-        for fn in (cf.ser_exact, cf.ser_high_snr, cf.ser_approx):
-            calls.clear()
-            assert 0.0 < fn(*system, mod, 0, 0) < 1.0
-            assert len(calls) == 1, fn.__name__
+    fns = (cf.ser_exact, cf.ser_high_snr, cf.ser_approx)
+    want = [[fn(*system, mod, 0, 0) for fn in fns]
+            + [cf.rate_lower_bound(*system, 0, 0).value]
+            for system in systems]
+    # no adaptive integral (every one goes through quadrature.integrate),
+    # no partial-fraction density, no node-by-node MGF
+    for module, name in ((quadrature, "integrate"), (sd, "pdf_z"),
+                         (cf, "pdf_z"), (sd, "hyp2f0_neg"),
+                         (sd, "expint_en_scaled")):
+        monkeypatch.setattr(module, name, refuse)
+    for (cfg, fad, _), values in zip(systems, want):
+        exp = gains_only(cfg, fad)
+        got = [fn(cfg, fad, exp, mod, 0, 0) for fn in fns]
+        got.append(cf.rate_lower_bound(cfg, fad, exp, 0, 0).value)
+        assert got == values
+        model = sd.make_sinr_model(cfg, fad, 0, 0, expansion=exp)
+        for s in (0.5, 2.0):
+            assert 0.0 < sd.mgf_sinr(model, s) < 1.0
+            assert 0.0 < sd.mgf_sinr_high_snr(model, s) < 1.0
+
+
+def ser_semi_analytic_monte_carlo(cfg, fad, exp, seed, draws=200_000):
+    """Mean and standard error over SINR draws gamma of the QPSK
+    conditional SER 2Q(sqrt(gamma)) - Q(sqrt(gamma))^2, which does not use
+    the theta rule."""
+    model = sd.make_sinr_model(cfg, fad, 0, 0, expansion=exp)
+    gamma = sd.sample_sinr(model, np.random.default_rng(seed), size=draws)
+    q = 0.5 * np.vectorize(math.erfc)(np.sqrt(gamma / 2.0))
+    cond = 2.0 * q - q * q
+    return cond.mean(), cond.std(ddof=1) / math.sqrt(cond.size)
+
+
+BREAKDOWN_GAINS = 0.05 * 4 ** (np.arange(30) / 29)  # geometric [0.05, 0.2]
+
+
+@pytest.mark.parametrize("cross", [
+    BREAKDOWN_GAINS, np.repeat([0.1, 0.2, 0.3], 10)],
+    ids=["breakdown", "0.1/0.2/0.3"])
+def test_ser_where_the_expansion_breaks_down_matches_monte_carlo(cross):
+    # L=4, K=10, N=20, 10 dB: the partial-fraction expansion of these gains
+    # misses summing to 1, and an SER integral over its density fails
+    with pytest.warns(RuntimeWarning, match="lost its accuracy"):
+        cfg, fad, exp = profile_system(4, 10, cross, 20, 10.0)
+    got = cf.ser_exact(cfg, fad, exp, cf.ModulationScheme(4), 0, 0)
+    mean, sigma = ser_semi_analytic_monte_carlo(cfg, fad, exp, 2012)
+    assert abs(got - mean) <= 5.0 * sigma
+
+
+def test_ser_on_a_network_drop_matches_monte_carlo():
+    # reuse-7 hexagonal drop (seed 3, N=20, 10 dB): 120 cross gains spread
+    # over decades, whose expansion is garbage
+    from mumimo import cellnet
+    sc = cellnet.NetworkScenario(reuse_factor=7, antennas=20)
+    drop = cellnet.drop_users(sc, cellnet.build_hex_grid(sc),
+                              np.random.default_rng(3))
+    cells = drop.beta_home.shape[0]
+    beta = np.ones((cells, cells, sc.users_per_cell))
+    beta[0] = drop.beta_home
+    cfg = SystemConfig(cells, sc.users_per_cell, sc.antennas,
+                       sc.transmit_snr)
+    fad = LargeScaleFading(beta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        exp = characteristic_coefficients(build_profile(cfg, fad, 0))
+    assert exp.mu.size == 120
+    got = cf.ser_exact(cfg, fad, exp, cf.ModulationScheme(4), 0, 0)
+    mean, sigma = ser_semi_analytic_monte_carlo(cfg, fad, exp, 7)
+    assert abs(got - mean) <= 5.0 * sigma
+
+
+def ser_by_density(model, rule):
+    """sum_j w_j E e^{-s_j gamma} as one adaptive integral of the
+    conditional Erlang transform against the partial-fraction density of
+    Z: the SER's former method, kept as an arbiter."""
+    s, w = rule
+    nu, beta, t0 = model.desired.shape, model.desired.scale, 1 / model.p_u
+
+    def f(z):
+        z = np.asarray(z, dtype=float)
+        cond = np.exp(-nu * np.log1p(np.multiply.outer(beta / (z + t0), s)))
+        return sd.pdf_z(model.interference, z) * (cond @ w)
+
+    return integrate_semi_infinite(
+        f, 0.0, QuadratureSpec(relative_tolerance=1e-11,
+                               absolute_tolerance=1e-300),
+        scale=model.interference.mean)
+
+
+@pytest.mark.parametrize("n,a,snr_db", [(100, 1e-3, 40), (60, 0.01, 30)])
+def test_ser_at_high_sinr_matches_density_integral(n, a, snr_db):
+    # the integrand's peak lies far above x = 1/g here: a march that only
+    # went down from a fixed upper end missed it (8.99e-93 against
+    # 1.21e-87 at the first point)
+    mod = cf.ModulationScheme(4)
+    cfg, fad, exp = scenario1(n, a, p_u=10 ** (snr_db / 10))
+    model = sd.make_sinr_model(cfg, fad, 0, 0, expansion=exp)
+    for fn, rule in ((cf.ser_exact, mod.theta_rule),
+                     (cf.ser_approx, mod.three_point_rule)):
+        np.testing.assert_allclose(fn(cfg, fad, exp, mod, 0, 0),
+                                   ser_by_density(model, rule), rtol=1e-9)
 
 
 def test_ser_on_a_wide_gain_profile_matches_monte_carlo():
@@ -380,12 +537,8 @@ def test_ser_on_a_wide_gain_profile_matches_monte_carlo():
     cfg, fad, exp = profile_system(4, 10, 0.01 * 90 ** (np.arange(30) / 29),
                                    20, 10.0)
     got = cf.ser_exact(cfg, fad, exp, cf.ModulationScheme(4), 0, 0)
-    model = sd.make_sinr_model(cfg, fad, 0, 0, expansion=exp)
-    gamma = sd.sample_sinr(model, np.random.default_rng(2012), size=200_000)
-    q = 0.5 * np.vectorize(math.erfc)(np.sqrt(gamma / 2.0))
-    cond = 2.0 * q - q * q
-    sigma = cond.std(ddof=1) / math.sqrt(cond.size)
-    assert abs(got - cond.mean()) <= 5.0 * sigma
+    mean, sigma = ser_semi_analytic_monte_carlo(cfg, fad, exp, 2012)
+    assert abs(got - mean) <= 5.0 * sigma
 
 
 # ---------------------------------------------------------------------------

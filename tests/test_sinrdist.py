@@ -77,7 +77,8 @@ def mgf_closed(model, s):
     if s == 0:
         return 1.0
     if model.interference.is_zero:
-        return sd._mgf_no_interference(model, s)
+        return (1.0 + model.desired.scale * model.p_u * s) \
+            ** -model.desired.shape
     value, cond = mgf_closed_sum(model, s)
     if cond < _CANCEL_LIMIT:
         return min(1.0, max(0.0, value))
