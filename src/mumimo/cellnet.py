@@ -114,24 +114,52 @@ def build_hex_grid(scenario):
     return np.array([[x, y] for _, x, y in out])
 
 
+def _hexagon_candidates(rng, shape, radius, exclusion):
+    """Rejection candidates: `shape + (2,)` points uniform in the hexagon's
+    bounding box, and the mask of those inside the hexagon (circumradius
+    `radius`, centered at the origin) and at least `exclusion` from the
+    center."""
+    cand = rng.uniform(-1.0, 1.0, size=shape + (2,))
+    cand[..., 0] *= math.sqrt(3.0) / 2.0 * radius
+    cand[..., 1] *= radius
+    inside = (np.abs(cand[..., 1])
+              <= radius - np.abs(cand[..., 0]) / math.sqrt(3.0))
+    far = np.hypot(cand[..., 0], cand[..., 1]) >= exclusion
+    return cand, inside & far
+
+
 def _uniform_hexagon(rng, count, radius, exclusion):
     """Uniform points in a pointy-top hexagon (circumradius `radius`)
     centered at the origin, at least `exclusion` from the center."""
-    half_w = math.sqrt(3.0) / 2.0 * radius
     pts = np.empty((count, 2))
     got = 0
     while got < count:
-        cand = rng.uniform(-1.0, 1.0, size=(2 * (count - got) + 8, 2))
-        cand[:, 0] *= half_w
-        cand[:, 1] *= radius
-        inside = (np.abs(cand[:, 1])
-                  <= radius - np.abs(cand[:, 0]) / math.sqrt(3.0))
-        far = np.hypot(cand[:, 0], cand[:, 1]) >= exclusion
-        cand = cand[inside & far]
+        cand, keep = _hexagon_candidates(rng, (2 * (count - got) + 8,),
+                                         radius, exclusion)
+        cand = cand[keep]
         take = min(count - got, cand.shape[0])
         pts[got:got + take] = cand[:take]
         got += take
     return pts
+
+
+def _uniform_hexagons(rng, cells, count, radius, exclusion):
+    """`_uniform_hexagon` for each of `cells` cells in turn, (cells, count, 2).
+
+    Each cell's first rejection round is 2 count + 8 candidates, so all
+    first rounds together are one (cells, 2 count + 8) draw.  When every
+    cell accepts `count` of them, each takes its first `count` in order:
+    the same points and the same generator state as the per-cell loop.
+    Otherwise the generator is rewound and the loop runs."""
+    saved = rng.bit_generator.state
+    cand, keep = _hexagon_candidates(rng, (cells, 2 * count + 8), radius,
+                                     exclusion)
+    if keep.sum(axis=1).min() >= count:
+        first = np.argsort(~keep, axis=1, kind="stable")[:, :count]
+        return np.take_along_axis(cand, first[..., None], axis=1)
+    rng.bit_generator.state = saved
+    return np.stack([_uniform_hexagon(rng, count, radius, exclusion)
+                     for _ in range(cells)])
 
 
 def drop_users(scenario, grid, rng):
@@ -140,10 +168,8 @@ def drop_users(scenario, grid, rng):
     (shadow_sigma_db dB standard deviation)."""
     cells = grid.shape[0]
     k = scenario.users_per_cell
-    pos = np.empty((cells, k, 2))
-    for c in range(cells):
-        pos[c] = grid[c] + _uniform_hexagon(rng, k, scenario.cell_radius,
-                                            scenario.exclusion_radius)
+    pos = grid[:, None, :] + _uniform_hexagons(
+        rng, cells, k, scenario.cell_radius, scenario.exclusion_radius)
     d_home = np.hypot(pos[..., 0] - grid[0, 0], pos[..., 1] - grid[0, 1])
     shadow = 10.0 ** (scenario.shadow_sigma_db * rng.standard_normal(
         (cells, k)) / 10.0)

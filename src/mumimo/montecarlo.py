@@ -72,12 +72,41 @@ def trial_rng(base_seed, trial):
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _rekey(rng, base_seed, trial):
+    """Restart the Philox generator `rng` at the head of
+    trial_rng(base_seed, trial)'s stream: key (base_seed, trial), counter 0,
+    empty buffer.  Building a new Philox costs several times more, mostly
+    OS entropy that the key then overwrites."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64),
+                  "key": np.array([int(trial) % (1 << 64),
+                                   int(base_seed) % (1 << 64)],
+                                  dtype=np.uint64)},
+        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0}
+    return rng
+
+
+def _draw_cn(rng, out):
+    """Fill the C-contiguous complex array `out` with i.i.d. CN(0, 1)
+    entries: standard normals drawn straight into its float view, real and
+    imaginary part of each entry in turn, then scaled by 1/sqrt(2).
+
+    Bit for bit this is (h[..., 0] + 1j * h[..., 1]) / sqrt(2) of
+    h = rng.standard_normal(out.shape + (2,)), since numpy divides a complex
+    by a real through the reciprocal."""
+    rng.standard_normal(out.shape + (2,),
+                        out=out.view(float).reshape(out.shape + (2,)))
+    out *= 1.0 / math.sqrt(2.0)
+    return out
+
+
 def sample_channels(config, fading, home_cell, rng):
     """Draw one ChannelRealization: h ~ CN(0, 1) i.i.d., scaled by the
     square-root large-scale gains (variance 1/2 per real dimension)."""
     cells, n, k = config.num_cells, config.antennas, config.users_per_cell
-    h = rng.standard_normal((cells, n, k, 2))
-    g = (h[..., 0] + 1j * h[..., 1]) / math.sqrt(2.0)
+    g = _draw_cn(rng, np.empty((cells, n, k), dtype=complex))
     g *= np.sqrt(fading.beta[home_cell][:, None, :])
     return ChannelRealization(home_cell, g)
 
@@ -89,7 +118,8 @@ def _zf_sinr_batch(g, home_cell, p_u):
     squared row norm of G_ll^+ G_li summed over i != l.
     """
     gh = g[:, home_cell]                                   # (T, N, K)
-    gram = np.einsum("tnk,tnj->tkj", gh.conj(), gh)        # (T, K, K)
+    ghh = gh.conj().swapaxes(1, 2)                         # (T, K, N)
+    gram = ghh @ gh                                        # (T, K, K)
     try:
         inv = np.linalg.inv(gram)
         singular = np.array([], dtype=int)
@@ -116,8 +146,7 @@ def _zf_sinr_batch(g, home_cell, p_u):
     for i in range(cells):
         if i == home_cell:
             continue
-        cross = np.einsum("tnk,tnj->tkj", gh.conj(), g[:, i])
-        rows = inv @ cross                                 # (T, K, K)
+        rows = inv @ (ghh @ g[:, i])                       # (T, K, K)
         interf += (rows.real ** 2 + rows.imag ** 2).sum(axis=2)
     for t in bad:
         noise[t], interf[t] = _zf_terms_qr(g[t], home_cell)
@@ -158,14 +187,13 @@ def sinr_trials(config, fading, plan, home_cell=0):
     algebra is batched per chunk purely for speed.
     """
     cells, n, k = config.num_cells, config.antennas, config.users_per_cell
+    rng = trial_rng(plan.base_seed, 0)
     done = 0
     while done < plan.num_trials:
         count = min(plan.batch_size, plan.num_trials - done)
         g = np.empty((count, cells, n, k), dtype=complex)
         for j in range(count):
-            rng = trial_rng(plan.base_seed, done + j)
-            h = rng.standard_normal((cells, n, k, 2))
-            g[j] = (h[..., 0] + 1j * h[..., 1]) / math.sqrt(2.0)
+            _draw_cn(_rekey(rng, plan.base_seed, done + j), g[j])
         g *= np.sqrt(fading.beta[home_cell][None, :, None, :])
         yield _zf_sinr_batch(g, home_cell, config.transmit_snr)
         done += count
@@ -233,21 +261,19 @@ def estimate_ser(config, fading, modulation, plan, home_cell=0,
     m = modulation.psk_order
     cells, n, k = config.num_cells, config.antennas, config.users_per_cell
     p_u = config.transmit_snr
+    rng = trial_rng(plan.base_seed, 0)
     per_trial = []
     done = 0
     while done < plan.num_trials:
         count = min(plan.batch_size, plan.num_trials - done)
         errors = np.empty(count)
         for j in range(count):
-            rng = trial_rng(plan.base_seed, done + j)
-            h = rng.standard_normal((cells, n, k, 2))
-            g = (h[..., 0] + 1j * h[..., 1]) / math.sqrt(2.0)
-            g *= np.sqrt(fading.beta[home_cell][:, None, :])
+            _rekey(rng, plan.base_seed, done + j)
+            g = sample_channels(config, fading, home_cell, rng).g
             symbols = rng.integers(0, m, size=(cells, k))
             x = np.exp(2j * math.pi * symbols / m)
-            noise = rng.standard_normal((n, 2))
-            y = math.sqrt(p_u) * np.einsum("ink,ik->n", g, x) \
-                + (noise[:, 0] + 1j * noise[:, 1]) / math.sqrt(2.0)
+            noise = _draw_cn(rng, np.empty(n, dtype=complex))
+            y = math.sqrt(p_u) * np.einsum("ink,ik->n", g, x) + noise
             r = np.linalg.lstsq(g[home_cell], y, rcond=None)[0]
             detected = np.round(np.angle(r) * m / (2 * math.pi)) % m
             errors[j] = float(np.mean(detected != symbols[home_cell] % m))

@@ -60,6 +60,73 @@ def test_uniform_hexagon_sampling():
     assert (r > math.sqrt(3) / 2 * 1000.0).any()
 
 
+def _reference_hexagon(rng, count, radius, exclusion):
+    """The rejection sampler of one cell, one round at a time."""
+    half_w = math.sqrt(3.0) / 2.0 * radius
+    pts = np.empty((count, 2))
+    got = 0
+    while got < count:
+        cand = rng.uniform(-1.0, 1.0, size=(2 * (count - got) + 8, 2))
+        cand[:, 0] *= half_w
+        cand[:, 1] *= radius
+        inside = (np.abs(cand[:, 1])
+                  <= radius - np.abs(cand[:, 0]) / math.sqrt(3.0))
+        far = np.hypot(cand[:, 0], cand[:, 1]) >= exclusion
+        cand = cand[inside & far]
+        take = min(count - got, cand.shape[0])
+        pts[got:got + take] = cand[:take]
+        got += take
+    return pts
+
+
+def _reference_drop(sc, grid, rng):
+    """drop_users with one rejection loop per cell, in cell order."""
+    cells, k = grid.shape[0], sc.users_per_cell
+    pos = np.empty((cells, k, 2))
+    for c in range(cells):
+        pos[c] = grid[c] + _reference_hexagon(rng, k, sc.cell_radius,
+                                              sc.exclusion_radius)
+    d_home = np.hypot(pos[..., 0] - grid[0, 0], pos[..., 1] - grid[0, 1])
+    shadow = 10.0 ** (sc.shadow_sigma_db * rng.standard_normal((cells, k))
+                      / 10.0)
+    beta = shadow / (d_home / sc.exclusion_radius) ** sc.path_loss_exponent
+    return pos, beta
+
+
+@pytest.mark.parametrize("kwargs, paths", [
+    ({"reuse_factor": 1}, {"one-draw"}),
+    ({"reuse_factor": 3}, {"one-draw"}),
+    ({"reuse_factor": 7}, {"one-draw"}),
+    ({"reuse_factor": 1, "exclusion_radius": 600.0,
+      "interference_horizon": 2000.0}, {"one-draw", "per-cell"}),
+    ({"reuse_factor": 7, "exclusion_radius": 900.0}, {"per-cell"}),
+])
+def test_drop_users_matches_per_cell_loop_bit_for_bit(monkeypatch, kwargs,
+                                                      paths):
+    sc = cn.NetworkScenario(**kwargs)
+    grid = cn.build_hex_grid(sc)
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return per_cell(*args)
+
+    per_cell = cn._uniform_hexagon
+    monkeypatch.setattr(cn, "_uniform_hexagon", counted)
+    rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+    seen = set()
+    for _ in range(20):
+        calls.clear()
+        drop = cn.drop_users(sc, grid, rng)
+        seen.add("per-cell" if calls else "one-draw")
+        pos, beta = _reference_drop(sc, grid, ref)
+        assert np.array_equal(drop.positions, pos)
+        assert np.array_equal(drop.beta_home, beta)
+        assert rng.bit_generator.state == ref.bit_generator.state
+    assert seen == paths
+    assert np.array_equal(rng.random(4), ref.random(4))
+
+
 def test_drop_users_gain_model():
     sc = cn.NetworkScenario()
     grid = cn.build_hex_grid(sc)

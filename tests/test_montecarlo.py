@@ -82,6 +82,75 @@ def test_results_independent_of_chunk_schedule():
     assert np.array_equal(a, b)
 
 
+def test_sinr_trial_rows_are_single_realizations():
+    cfg, fad = scenario1(n=12, k=4, cells=3)
+    rows = np.concatenate(list(mc.sinr_trials(
+        cfg, fad, mc.TrialPlan(9, base_seed=21, batch_size=4))))
+    for t, row in enumerate(rows):
+        one = mc.sample_channels(cfg, fad, 0, mc.trial_rng(21, t))
+        assert np.array_equal(row, mc.zf_sinr(one, cfg.transmit_snr))
+
+
+def test_cn_draw_is_the_paired_normal_formula():
+    h = mc.trial_rng(4, 2).standard_normal((3, 6, 5, 2))
+    want = (h[..., 0] + 1j * h[..., 1]) / math.sqrt(2.0)
+    got = mc._draw_cn(mc.trial_rng(4, 2), np.empty((3, 6, 5), dtype=complex))
+    assert np.array_equal(got, want)
+
+
+def _philox_state(rng):
+    st = rng.bit_generator.state
+    return ([st["state"][k].tolist() for k in ("counter", "key")]
+            + [st["buffer"].tolist()]
+            + [st[k] for k in ("buffer_pos", "has_uint32", "uinteger")])
+
+
+@pytest.mark.parametrize("seed, trial", [(0, 0), (21, 5), (-3, -1),
+                                         (2 ** 70, 2 ** 64 + 7)])
+def test_rekey_restarts_the_trial_stream(seed, trial):
+    rng = mc.trial_rng(1, 1)
+    rng.integers(0, 7, size=3, dtype=np.uint32)  # leave a buffered half word
+    mc._rekey(rng, seed, trial)
+    fresh = mc.trial_rng(seed, trial)
+    assert _philox_state(rng) == _philox_state(fresh)
+    assert np.array_equal(rng.standard_normal(5), fresh.standard_normal(5))
+
+
+def _zf_sinr_einsum(g, home_cell, p_u):
+    """ZF SINR of a (T, L, N, K) batch from einsum products: noise
+    [(G^H G)^-1]_kk, interference the squared row norms of
+    (G^H G)^-1 G^H G_i summed over the other cells."""
+    gh = g[:, home_cell]
+    inv = np.linalg.inv(np.einsum("tnk,tnj->tkj", gh.conj(), gh))
+    noise = np.einsum("tkk->tk", inv).real
+    interf = np.zeros_like(noise)
+    for i in range(g.shape[1]):
+        if i != home_cell:
+            rows = inv @ np.einsum("tnk,tnj->tkj", gh.conj(), g[:, i])
+            interf += (rows.real ** 2 + rows.imag ** 2).sum(axis=2)
+    return p_u / (p_u * interf + noise)
+
+
+@pytest.mark.parametrize("cells", [1, 3])
+def test_zf_batch_matches_einsum_formula(cells):
+    home, p_u = cells // 2, 3.0
+    cfg = SystemConfig(cells, 4, 10, p_u)
+    fad = symmetric_fading(cells, 4, 1.0, 0.2)
+    g = np.stack([mc.sample_channels(cfg, fad, home, mc.trial_rng(8, t)).g
+                  for t in range(12)])
+    # trial 5: two nearly parallel users, past the Gram condition gate
+    g[5, home, :, 1] = g[5, home, :, 0] + 1e-9 * g[5, home, :, 2]
+    gram = g[5, home].conj().T @ g[5, home]
+    assert np.linalg.cond(gram, 1) > mc._COND_GATE
+    got = mc._zf_sinr_batch(g, home, p_u)
+    good = np.arange(12) != 5
+    np.testing.assert_allclose(got[good],
+                               _zf_sinr_einsum(g[good], home, p_u),
+                               rtol=1e-12, atol=0)
+    noise, interf = mc._zf_terms_qr(g[5], home)
+    assert np.array_equal(got[5], p_u / (p_u * interf + noise))
+
+
 def test_matrix_sinr_matches_model_distribution():
     cfg, fad = scenario1()
     plan = mc.TrialPlan(10_000, base_seed=11, batch_size=1000)
