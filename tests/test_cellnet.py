@@ -106,12 +106,12 @@ def test_drop_users_matches_per_cell_loop_bit_for_bit(monkeypatch, kwargs,
     sc = cn.NetworkScenario(**kwargs)
     grid = cn.build_hex_grid(sc)
     calls = []
+    per_cell = cn._uniform_hexagon
 
     def counted(*args):
         calls.append(1)
         return per_cell(*args)
 
-    per_cell = cn._uniform_hexagon
     monkeypatch.setattr(cn, "_uniform_hexagon", counted)
     rng, ref = np.random.default_rng(4), np.random.default_rng(4)
     seen = set()
