@@ -10,9 +10,9 @@ from .fading import (CharacteristicExpansion, InterferenceProfile,
                      LargeScaleFading, SystemConfig, build_profile,
                      characteristic_coefficients, load_fading_text,
                      save_fading_text, symmetric_fading)
-from .sinrdist import (DesiredPowerDist, InterferencePowerDist, SinrModel,
-                       cdf_x, make_sinr_model, mgf_sinr, mgf_sinr_high_snr,
-                       pdf_x, pdf_z, sample_sinr, sinr_cdf_quadrature)
+from .sinrdist import (DesiredPowerDist, SinrModel, cdf_x, make_sinr_model,
+                       mgf_sinr, mgf_sinr_high_snr, pdf_x, pdf_z, sample_sinr,
+                       sinr_cdf_quadrature)
 from .closedform import (ModulationScheme, QualityLog, RateResult,
                          cell_sum_rate, outage_exact,
                          outage_small_threshold, rate_by_quadrature,

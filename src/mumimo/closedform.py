@@ -27,8 +27,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .quadrature import QuadratureSpec, integrate_semi_infinite
-from .sinrdist import (InterferencePowerDist, _count_tail,
-                       make_sinr_model, mgf_weighted_sum, pdf_z)
+from .sinrdist import _count_tail, make_sinr_model, mgf_weighted_sum, pdf_z
 from .specfun import (_ei_moment_closed, _ei_moment_sequence,
                       _log_moment_normalized, digamma_int, tricomi_u)
 # unused here; bound because benchmark/tracing.py wraps them by name
@@ -156,14 +155,13 @@ def rate_by_quadrature(config, fading, expansion, user, cell,
         return _rate_no_interference(config, beta)
     nu = config.zf_shape
     p_u = config.transmit_snr
-    dist = InterferencePowerDist(expansion)
 
     def f(z):
         a = p_u / (p_u * np.asarray(z, dtype=float) + 1.0)
         inner = [_log_moment_normalized(nu, beta, v) for v in a.flat]
-        return np.reshape(inner, a.shape) * pdf_z(dist, z)
+        return np.reshape(inner, a.shape) * pdf_z(expansion, z)
 
-    val = integrate_semi_infinite(f, 0.0, spec, scale=dist.mean)
+    val = integrate_semi_infinite(f, 0.0, spec, scale=expansion.mean)
     return LOG2E * val
 
 

@@ -3,12 +3,14 @@
 The interference seen by one base station after zero-forcing is a weighted
 sum of independent exponentials whose rates are the cross-cell large-scale
 gains.  This module groups those gains into distinct values with
-multiplicities and computes the partial-fraction ("characteristic")
-coefficients that every downstream closed form consumes.
+multiplicities, the law (mu, tau) that every metric reads.  Its
+partial-fraction ("characteristic") coefficients are built only when first
+read, by the closed rate and the density that its arbiter integrates.
 """
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -114,21 +116,69 @@ class InterferenceProfile:
 
 @dataclass(frozen=True)
 class CharacteristicExpansion:
-    """Partial-fraction weights chi[m][n-1] of prod_m (1 - mu_m s)^-tau_m in
-    the basis (1 - mu_m s)^-n.
+    """The law of the interference power Z: the distinct gains mu_m with
+    multiplicities tau_m, E e^{sZ} = prod_m (1 - mu_m s)^-tau_m.
 
-    `chi` keeps the extended-precision values the recursion produced, since
-    the expansion is intrinsically cancellation-prone and a few extra digits
-    in the coefficients are cheap insurance.
+    Its partial-fraction weights `chi` are built on first read: only the
+    closed rate, the density `pdf_z` and `mgf` use them.
     """
 
     mu: np.ndarray
     tau: np.ndarray
-    chi: tuple  # tuple of 1-D longdouble arrays, chi[m] has length tau[m]
 
     @property
     def is_empty(self):
         return self.mu.size == 0
+
+    @property
+    def mean(self):
+        """E Z, the sum of the underlying exponential means."""
+        return float(np.sum(self.rates()))
+
+    @cached_property
+    def chi(self):
+        """Weights chi[m][n-1] of the product in the basis (1 - mu_m s)^-n,
+        one longdouble array of length tau[m] per m: around each mu_m, with
+        u = 1 - mu_m s, the other factors are exp of a power series from
+        their exact log-derivatives, and chi_{m,n} is its (tau_m - n)-th
+        coefficient.  Extended precision is cheap insurance against the
+        expansion's cancellation.  Cached on first read; two threads that
+        read it at once may both compute it, and get the same value."""
+        mu, tau = self.mu, self.tau
+        if self.is_empty:
+            return ()
+        gap = _min_relative_gap(mu)
+        if gap < NEAR_DEGENERATE_TOL:
+            warnings.warn(
+                "nearly degenerate eigenvalues (relative gap "
+                f"{gap:.2e}); the expansion may be ill-conditioned -- "
+                "consider build_profile(..., merge_tol=...)", RuntimeWarning)
+        chi = []
+        ld = np.longdouble
+        for m in range(mu.size):
+            t_m, others = int(tau[m]), np.arange(mu.size) != m
+            ratios = mu[others].astype(ld) / ld(mu[m])
+            taus = tau[others].astype(ld)
+            # g(u) = prod_j (A_j + B_j u)^{-tau_j}, A = 1 - ratio, B = ratio
+            a = ld(1.0) - ratios
+            c = np.empty(t_m, dtype=ld)
+            c[0] = np.prod(a ** (-taus)) if ratios.size else ld(1.0)
+            if t_m > 1:
+                w = ratios / a  # B_j / A_j
+                h = np.array([ld(-1.0) ** k / k * np.sum(taus * w ** k)
+                              for k in range(1, t_m)], dtype=ld)
+                for k in range(1, t_m):
+                    c[k] = np.sum(np.arange(1, k + 1, dtype=ld) * h[:k]
+                                  * c[k - 1::-1]) / k
+            # chi_{m,n} = c_{tau_m - n}
+            chi.append(c[::-1].copy())
+        miss = float(sum(np.sum(c) for c in chi) - ld(1.0))
+        if not abs(miss) <= COEFFICIENT_SUM_TOL:
+            warnings.warn(
+                f"partial-fraction coefficients sum to 1 {miss:+.2e}; the "
+                "expansion has lost its accuracy and the closed forms built "
+                "on it are unreliable", RuntimeWarning)
+        return tuple(chi)
 
     def terms(self):
         """Yield (mu_m, n, chi_mn) over every term of the expansion, in
@@ -157,8 +207,13 @@ class CharacteristicExpansion:
 
     @staticmethod
     def empty():
-        return CharacteristicExpansion(np.array([]), np.array([], dtype=int),
-                                       ())
+        return CharacteristicExpansion(np.array([]), np.array([], dtype=int))
+
+
+def _min_relative_gap(mu):
+    """Smallest relative gap between consecutive decreasing gains; 1 when
+    there are fewer than two."""
+    return float(np.min((mu[:-1] - mu[1:]) / mu[:-1])) if mu.size > 1 else 1.0
 
 
 def build_profile(config, fading, home_cell, merge_tol=None):
@@ -167,7 +222,9 @@ def build_profile(config, fading, home_cell, merge_tol=None):
     Gains whose relative difference is below CLUSTER_TOL are one eigenvalue.
     `merge_tol` optionally widens that threshold, trading a perturbation of
     the diagonal for a better-conditioned expansion (the "merge" escape
-    hatch for nearly-degenerate profiles).
+    hatch for nearly-degenerate profiles).  Only the partial-fraction
+    weights, and so the closed rate, need it: the other metrics read the
+    gains themselves and need no merge.
     """
     beta = fading.beta
     l = home_cell
@@ -190,55 +247,15 @@ def build_profile(config, fading, home_cell, merge_tol=None):
 
 
 def characteristic_coefficients(profile):
-    """Partial-fraction coefficients chi_{m,n} of the profile's MGF.
-
-    For each eigenvalue mu_m the remaining product is expanded around it:
-    with u = 1 - mu_m s, the product of the other factors is exp of a power
-    series whose coefficients come from the exact log-derivatives, and
-    chi_{m,n} is the (tau_m - n)-th series coefficient.
-    """
+    """The profile's gains as a CharacteristicExpansion, which builds the
+    partial-fraction weights `chi`, and their warnings, on first read."""
     if profile.is_empty:
         raise ValueError("characteristic_coefficients requires a non-empty "
                          "profile (no interference when L = 1)")
-    mu = profile.mu
-    tau = profile.tau
-    gaps = (mu[:-1] - mu[1:]) / mu[:-1] if mu.size > 1 else np.array([1.0])
-    if mu.size > 1 and gaps.min() < CLUSTER_TOL:
+    if _min_relative_gap(profile.mu) < CLUSTER_TOL:
         raise ValueError("distinct eigenvalues closer than the clustering "
                          "threshold; rebuild the profile with merge_tol")
-    if mu.size > 1 and gaps.min() < NEAR_DEGENERATE_TOL:
-        warnings.warn(
-            "nearly degenerate eigenvalues (relative gap "
-            f"{gaps.min():.2e}); the expansion may be ill-conditioned -- "
-            "consider build_profile(..., merge_tol=...)", RuntimeWarning)
-
-    chi = []
-    ld = np.longdouble
-    for m in range(mu.size):
-        t_m = int(tau[m])
-        ratios = np.array([mu[j] for j in range(mu.size) if j != m],
-                          dtype=ld) / ld(mu[m])
-        taus = np.array([tau[j] for j in range(mu.size) if j != m], dtype=ld)
-        # g(u) = prod_j (A_j + B_j u)^{-tau_j}, A = 1 - ratio, B = ratio
-        a = ld(1.0) - ratios
-        c = np.empty(t_m, dtype=ld)
-        c[0] = np.prod(a ** (-taus)) if ratios.size else ld(1.0)
-        if t_m > 1:
-            w = ratios / a  # B_j / A_j
-            h = np.array([ld(-1.0) ** k / k * np.sum(taus * w ** k)
-                          for k in range(1, t_m)], dtype=ld)
-            for k in range(1, t_m):
-                c[k] = np.sum(np.arange(1, k + 1, dtype=ld) * h[:k]
-                              * c[k - 1::-1]) / k
-        # chi_{m,n} = c_{tau_m - n}
-        chi.append(c[::-1].copy())
-    miss = float(sum(np.sum(c) for c in chi) - ld(1.0))
-    if not abs(miss) <= COEFFICIENT_SUM_TOL:
-        warnings.warn(
-            f"partial-fraction coefficients sum to 1 {miss:+.2e}; the "
-            "expansion has lost its accuracy and the closed forms built on "
-            "it are unreliable", RuntimeWarning)
-    return CharacteristicExpansion(mu.copy(), tau.copy(), tuple(chi))
+    return CharacteristicExpansion(profile.mu.copy(), profile.tau.copy())
 
 
 # ---------------------------------------------------------------------------

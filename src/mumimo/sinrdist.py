@@ -2,7 +2,7 @@
 
 X (desired power) is Erlang with shape N-K+1 and scale beta_llk; Z
 (cross-cell interference power) is a sum of independent exponentials whose
-partial-fraction expansion lives in fading.CharacteristicExpansion.  Both
+gains (mu, tau) the model carries as a fading.CharacteristicExpansion.  Both
 are exact distributional identities for the zero-forcing receiver, so this
 module doubles as a fast sampler equivalent to full channel-matrix
 simulation.
@@ -10,8 +10,8 @@ simulation.
 The CDF of gamma (the outage) and the Erlang CDF are the tail of one
 Poisson plus negative-binomial count over the gains (`_count_tail`), and
 every transform of gamma is that CDF integrated by parts, a fixed trapezoid
-sum of positive terms.  Only the CDF arbiter `sinr_cdf_quadrature` reads
-the partial-fraction density `pdf_z`.
+sum of positive terms.  Only the arbiters read the partial-fraction density
+`pdf_z`, and so the expansion's weights chi.
 """
 
 import math
@@ -28,7 +28,6 @@ from .specfun import expint_en_scaled, hyp2f0_neg  # noqa: F401
 
 __all__ = [
     "DesiredPowerDist",
-    "InterferencePowerDist",
     "SinrModel",
     "make_sinr_model",
     "pdf_x",
@@ -59,24 +58,9 @@ class DesiredPowerDist:
 
 
 @dataclass(frozen=True)
-class InterferencePowerDist:
-    """Exponential-mixture law of the cross-cell interference power."""
-
-    expansion: CharacteristicExpansion
-
-    @property
-    def is_zero(self):
-        return self.expansion.is_empty
-
-    @property
-    def mean(self):
-        return float(np.sum(self.expansion.rates()))
-
-
-@dataclass(frozen=True)
 class SinrModel:
     desired: DesiredPowerDist
-    interference: InterferencePowerDist
+    interference: CharacteristicExpansion
     p_u: float
 
     def __post_init__(self):
@@ -91,8 +75,7 @@ def make_sinr_model(config, fading, user, cell, expansion=None):
         expansion = (CharacteristicExpansion.empty() if profile.is_empty
                      else characteristic_coefficients(profile))
     desired = DesiredPowerDist(config.zf_shape, fading.direct_gain(cell, user))
-    return SinrModel(desired, InterferencePowerDist(expansion),
-                     config.transmit_snr)
+    return SinrModel(desired, expansion, config.transmit_snr)
 
 
 # ---------------------------------------------------------------------------
@@ -175,14 +158,14 @@ def cdf_x(dist, x):
 
 
 def pdf_z(dist, z):
-    """Mixture density of the interference power from the expansion."""
-    if dist.is_zero:
+    """Density of the interference power from the weights `dist.chi`."""
+    if dist.is_empty:
         raise ValueError("no interference (L = 1): Z is identically zero")
     z = np.asarray(z, dtype=float)
     out = np.zeros(z.shape, dtype=np.longdouble)
     pos = z > 0
     zp = z[pos]
-    for mu, n, chi in dist.expansion.terms():
+    for mu, n, chi in dist.terms():
         term = np.exp(-zp / mu + (n - 1) * np.log(zp / mu)
                       - np.longdouble(math.lgamma(n))) / mu
         out[pos] += chi * term
@@ -212,7 +195,7 @@ def mgf_weighted_sum(model, s, w):
     nearest ln(1 / min s) to the first falling term below 1e-18 of the sum,
     so it finds the peak wherever the SINR puts it."""
     nu, beta = model.desired.shape, model.desired.scale
-    gains = model.interference.expansion
+    gains = model.interference
     law = (nu, 1.0 / (beta * model.p_u), tuple((gains.mu / beta).tolist()),
            tuple(gains.tau.tolist()))
     s, ws = np.asarray(s, dtype=float), np.multiply(w, s)
@@ -278,10 +261,10 @@ def sample_sinr(model, rng, size=None):
     """
     count = 1 if size is None else int(size)
     x = _erlang_draws(rng, count, model.desired.shape, model.desired.scale)
-    if model.interference.is_zero:
+    if model.interference.is_empty:
         z = np.zeros(count)
     else:
-        rates = model.interference.expansion.rates()
+        rates = model.interference.rates()
         z = np.zeros(count)
         step = max(1, _CHUNK // max(rates.size, 1))
         for lo in range(0, count, step):
@@ -304,7 +287,7 @@ def sinr_cdf_quadrature(model, threshold,
     """
     if threshold < 0:
         return 0.0
-    if model.interference.is_zero:
+    if model.interference.is_empty:
         return cdf_x(model.desired, threshold / model.p_u)
     t0 = 1.0 / model.p_u
     dist = model.interference

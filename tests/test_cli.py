@@ -1,13 +1,16 @@
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from mumimo import cli
-from mumimo.closedform import rate_exact
+from mumimo.closedform import (ModulationScheme, outage_exact, rate_exact,
+                               ser_exact)
 from mumimo.fading import (SystemConfig, build_profile,
                            characteristic_coefficients, symmetric_fading)
+from test_closedform import BREAKDOWN_GAINS, profile_system
 
 
 def read_csv(path):
@@ -240,6 +243,31 @@ def test_fading_file_key(tmp_path):
     _, _, rows = read_csv(out / "figure3.csv")
     assert rows[0]["power_scaling"] == "fixed"
     assert float(rows[0]["rate_per_user"]) == want
+
+
+@pytest.mark.parametrize("mode, column, metric", [
+    ("ser", "ser_exact", lambda cfg, fad, exp: ser_exact(
+        cfg, fad, exp, ModulationScheme(4), 0, 0)),
+    ("outage", "outage_exact", lambda cfg, fad, exp: outage_exact(
+        cfg, fad, exp, 0, 0, 1.0)),
+], ids=["ser", "outage"])
+def test_fading_file_where_the_expansion_breaks_down(tmp_path, mode, column,
+                                                     metric):
+    # the SER and the outage read only the gains, so a profile whose
+    # partial-fraction weights miss summing to 1 runs silent; the defaults
+    # are its L=4, K=10, N=20, 10 dB
+    from mumimo.fading import save_fading_text
+    cfg, fad, exp = profile_system(4, 10, BREAKDOWN_GAINS, 20, 10.0)
+    path = tmp_path / "beta.txt"
+    save_fading_text(fad, path)
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main([mode, "--out", str(out),
+                         "--set", f"fading_file={path}"])
+    assert code == 0
+    _, _, rows = read_csv(out / f"{mode}.csv")
+    assert float(rows[0][column]) == metric(cfg, fad, exp)
 
 
 @pytest.mark.parametrize("argv, mode", [

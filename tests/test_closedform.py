@@ -80,7 +80,7 @@ def rate_2d_quadrature(cfg, fad, user, cell, rtol=1e-8):
             lambda x: math.log1p(p_u * x / denom)
             * sd.pdf_x(model.desired, x), 0.0, inner_spec, scale=x_scale)
 
-    if model.interference.is_zero:
+    if model.interference.is_empty:
         return inner(0.0) / math.log(2.0)
     z_scale = max(model.interference.mean, 0.1)
     val = integrate_semi_infinite(
@@ -221,9 +221,7 @@ def test_bound_matches_mpmath(system):
     # the breakdown profile's expansion misses summing to 1: a bound from
     # its coefficients gave 0.352 where the bound is 2.0637
     mp = pytest.importorskip("mpmath")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        cfg, fad, exp = system()
+    cfg, fad, exp = system()
     got = cf.rate_lower_bound(cfg, fad, exp, 0, 0).value
     want = bound_mpmath(mp, cfg, fad, cfg.transmit_snr)
     np.testing.assert_allclose(got, want, rtol=1e-13)
@@ -462,16 +460,17 @@ def ser_semi_analytic_monte_carlo(cfg, fad, exp, seed, draws=200_000):
 def test_ser_where_the_expansion_breaks_down_matches_monte_carlo(cross):
     # L=4, K=10, N=20, 10 dB: the partial-fraction expansion of these gains
     # misses summing to 1, and an SER integral over its density fails
+    cfg, fad, exp = profile_system(4, 10, cross, 20, 10.0)
     with pytest.warns(RuntimeWarning, match="lost its accuracy"):
-        cfg, fad, exp = profile_system(4, 10, cross, 20, 10.0)
+        exp.chi
     got = cf.ser_exact(cfg, fad, exp, cf.ModulationScheme(4), 0, 0)
     mean, sigma = ser_semi_analytic_monte_carlo(cfg, fad, exp, 2012)
     assert abs(got - mean) <= 5.0 * sigma
 
 
-def test_ser_on_a_network_drop_matches_monte_carlo():
-    # reuse-7 hexagonal drop (seed 3, N=20, 10 dB): 120 cross gains spread
-    # over decades, whose expansion is garbage
+def network_drop_system():
+    """Reuse-7 hexagonal drop (seed 3, N=20, 10 dB): 120 cross gains spread
+    over decades, whose expansion is garbage."""
     from mumimo import cellnet
     sc = cellnet.NetworkScenario(reuse_factor=7, antennas=20)
     drop = cellnet.drop_users(sc, cellnet.build_hex_grid(sc),
@@ -482,13 +481,41 @@ def test_ser_on_a_network_drop_matches_monte_carlo():
     cfg = SystemConfig(cells, sc.users_per_cell, sc.antennas,
                        sc.transmit_snr)
     fad = LargeScaleFading(beta)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        exp = characteristic_coefficients(build_profile(cfg, fad, 0))
+    return cfg, fad, characteristic_coefficients(build_profile(cfg, fad, 0))
+
+
+def test_ser_on_a_network_drop_matches_monte_carlo():
+    cfg, fad, exp = network_drop_system()
     assert exp.mu.size == 120
     got = cf.ser_exact(cfg, fad, exp, cf.ModulationScheme(4), 0, 0)
     mean, sigma = ser_semi_analytic_monte_carlo(cfg, fad, exp, 7)
     assert abs(got - mean) <= 5.0 * sigma
+
+
+@pytest.mark.parametrize("system", [
+    lambda: profile_system(4, 10, BREAKDOWN_GAINS, 20, 10.0),
+    network_drop_system], ids=["breakdown", "network-drop"])
+def test_only_the_closed_rate_builds_the_expansion_weights(system):
+    # the weights chi of these gains miss summing to 1; every metric but
+    # the closed rate reads the gains only, so none of them builds chi or
+    # warns about it
+    mod = cf.ModulationScheme(4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cfg, fad, exp = system()
+        model = sd.make_sinr_model(cfg, fad, 0, 0, expansion=exp)
+        for ser in (cf.ser_exact, cf.ser_approx, cf.ser_high_snr):
+            assert 0.0 <= ser(cfg, fad, exp, mod, 0, 0) <= 1.0
+        for outage in (cf.outage_exact, cf.outage_small_threshold):
+            assert 0.0 <= outage(cfg, fad, exp, 0, 0, 1.0) <= 1.0
+        assert cf.rate_lower_bound(cfg, fad, exp, 0, 0).value > 0.0
+        for mgf in (sd.mgf_sinr, sd.mgf_sinr_high_snr):
+            assert 0.0 <= mgf(model, 1.0) <= 1.0
+        assert "chi" not in vars(exp)
+        # the closed rate reads chi first, so its warning, raised as an
+        # error here, stops the call before any rate work
+        with pytest.raises(RuntimeWarning, match="sum to 1"):
+            cf.rate_exact(cfg, fad, exp, 0, 0)
 
 
 def ser_by_density(model, rule):
@@ -595,8 +622,9 @@ def test_outage_on_expansion_breakdown_matches_mpmath():
     # expansion of Z breaks down, the count law reads only the gains
     mp = pytest.importorskip("mpmath")
     gains = 0.05 * 4 ** (np.arange(30) / 29)
+    cfg, fad, exp = profile_system(4, 10, gains, 20, 10.0)
     with pytest.warns(RuntimeWarning, match="sum to 1"):
-        cfg, fad, exp = profile_system(4, 10, gains, 20, 10.0)
+        exp.chi
     with mp.workdps(80):
         mus = [mp.mpf(float(g)) for g in gains]
         chi = [mp.fprod(m / (m - j) for j in mus if j != m) for m in mus]

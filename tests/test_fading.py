@@ -1,4 +1,6 @@
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -81,6 +83,27 @@ def test_mixed_multiplicity_reproduces_mgf_at_probe_points():
         np.testing.assert_allclose(exp.mgf(s), exp.mgf_exact(s), rtol=1e-10)
 
 
+def test_concurrent_first_reads_of_chi_agree():
+    # chi is cached without a lock, so threads that read it at once may
+    # each build it; every reader must still get the same weights
+    prof = InterferenceProfile(0, np.repeat([0.4, 0.25, 0.1], [3, 2, 4]),
+                               np.array([0.4, 0.25, 0.1]), np.array([3, 2, 4]))
+    want = characteristic_coefficients(prof).chi
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            for _ in range(20):
+                exp = characteristic_coefficients(prof)
+                reads = list(pool.map(lambda _: exp.chi, range(16),
+                                      timeout=30))
+                for chi in reads + [exp.chi]:
+                    for got, ref in zip(chi, want, strict=True):
+                        np.testing.assert_array_equal(got, ref)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def _draw_profile(rng):
     """Random well-separated profile whose expansion is representable in
     double precision (the reconstruction identity is only checkable up to
@@ -136,8 +159,9 @@ def test_near_degenerate_warning_and_merge():
     vals = np.array([1.0, 1.0 + 1e-8, 0.1])
     prof = InterferenceProfile(0, vals, np.sort(vals)[::-1],
                                np.ones(3, dtype=int))
+    exp = characteristic_coefficients(prof)
     with pytest.warns(RuntimeWarning):
-        characteristic_coefficients(prof)
+        exp.chi  # the weights, and their warnings, come on first read
     # the merge escape hatch produces a multiplicity-2 eigenvalue instead
     cfg = SystemConfig(2, 3, 6, 1.0)
     beta = np.ones((2, 2, 3))
@@ -163,8 +187,9 @@ def test_coefficient_sum_warns_when_the_expansion_breaks_down():
     geometric = 0.05 * 4.0 ** (np.arange(30) / 29)
     for cross in (geometric, np.repeat([0.1, 0.2, 0.3], 10)):
         cfg, fad = _cross_gain_fading(cross)
+        exp = characteristic_coefficients(build_profile(cfg, fad, 0))
         with pytest.warns(RuntimeWarning, match="sum to 1"):
-            characteristic_coefficients(build_profile(cfg, fad, 0))
+            exp.chi
     # scenario 1 and an all-distinct profile stay silent
     distinct = 0.05 * 10.0 ** (np.arange(8) / 7)
     with warnings.catch_warnings():

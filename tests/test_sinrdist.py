@@ -41,10 +41,10 @@ def mgf_closed_sum(model, s):
     if nu * math.log1p(abs(ratio)) > math.log(_CANCEL_LIMIT / 100.0):
         return math.nan, math.inf
     ld = np.longdouble
-    distinct = bool(np.all(model.interference.expansion.tau == 1))
+    distinct = bool(np.all(model.interference.tau == 1))
     total = ld(0.0)
     total_abs = ld(0.0)
-    for mu, n, chi in model.interference.expansion.terms():
+    for mu, n, chi in model.interference.terms():
         if chi == 0.0:
             continue
         lbin = ld(0.0)  # log C(nu, p) running
@@ -76,7 +76,7 @@ def mgf_closed(model, s):
         raise ValueError("requires s >= 0")
     if s == 0:
         return 1.0
-    if model.interference.is_zero:
+    if model.interference.is_empty:
         return (1.0 + model.desired.scale * model.p_u * s) \
             ** -model.desired.shape
     value, cond = mgf_closed_sum(model, s)
@@ -87,11 +87,11 @@ def mgf_closed(model, s):
 
 def sample_sinr_limit(model, rng, size=None):
     """Draw the p_u -> infinity limit X/Z (requires interference)."""
-    if model.interference.is_zero:
+    if model.interference.is_empty:
         raise ValueError("X/Z undefined without interference")
     count = 1 if size is None else int(size)
     x = sd._erlang_draws(rng, count, model.desired.shape, model.desired.scale)
-    rates = model.interference.expansion.rates()
+    rates = model.interference.rates()
     u = rng.random((count, rates.size))
     z = -(np.log(u) * rates).sum(axis=1)
     out = x / z
