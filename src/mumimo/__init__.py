@@ -18,8 +18,8 @@ from .closedform import (ModulationScheme, QualityLog, RateResult,
                          outage_small_threshold, rate_by_quadrature,
                          rate_exact, rate_lower_bound, ser_approx,
                          ser_exact, ser_high_snr)
-from .asymptotic import (AsymptoticRegime, deterministic_sir,
-                         kappa_to_antennas, power_scaled_fixed_ratio_rate,
+from .asymptotic import (deterministic_sir, kappa_to_antennas,
+                         power_scaled_fixed_ratio_rate,
                          power_scaled_fixed_ratio_sinr,
                          power_scaled_limit_rate, required_kappa)
 from .montecarlo import (ChannelRealization, Estimate, RankDeficiencyError,

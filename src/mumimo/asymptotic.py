@@ -5,10 +5,8 @@ rate).
 """
 
 import math
-from dataclasses import dataclass
 
 __all__ = [
-    "AsymptoticRegime",
     "deterministic_sir",
     "power_scaled_limit_rate",
     "power_scaled_fixed_ratio_sinr",
@@ -16,32 +14,6 @@ __all__ = [
     "required_kappa",
     "kappa_to_antennas",
 ]
-
-
-@dataclass(frozen=True)
-class AsymptoticRegime:
-    """Which N -> infinity limit is being taken.
-
-    kind: 'fixed_K' (N alone grows), 'fixed_ratio' (N/K = kappa),
-    'power_scaled' (p_u = E_u/N, K fixed), or 'power_scaled_fixed_ratio'.
-    """
-
-    kind: str
-    kappa: float = None
-    e_u: float = None
-
-    _KINDS = ("fixed_K", "fixed_ratio", "power_scaled",
-              "power_scaled_fixed_ratio")
-
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ValueError(f"kind must be one of {self._KINDS}")
-        if "ratio" in self.kind:
-            if self.kappa is None or self.kappa <= 1:
-                raise ValueError("kappa must exceed 1 (N >= K with margin)")
-        if "power_scaled" in self.kind:
-            if self.e_u is None or self.e_u <= 0:
-                raise ValueError("e_u must be positive")
 
 
 def _interference_trace(fading, cell):

@@ -51,6 +51,9 @@ class NetworkScenario:
             raise ValueError("reuse factor must be 1, 3, or 7")
         if self.antennas < self.users_per_cell:
             raise ValueError("zero-forcing needs antennas >= users per cell")
+        if not 0 < self.transmit_snr < math.inf:
+            raise ValueError(f"transmit_snr must be positive and finite "
+                             f"(linear scale), got {self.transmit_snr}")
 
     @property
     def zf_shape(self):

@@ -2,21 +2,22 @@
 symbol error rate (exact, high-SNR floor, three-point approximation), and
 outage probability.
 
-Every expression is exact for the post-ZF SINR law, but the rate contains
-binomial-weighted alternating sums that cancel catastrophically once N - K
-is large.  They are accumulated in extended precision with a running
-condition estimate (sum |terms| / |sum|) and a propagated error estimate
-that includes each Ei-moment kernel's own (condition x 2.3e-16).  The
-closed rate runs no quadrature: it is accepted whole, or, when either
-estimate exceeds its guard, the whole call goes to `rate_by_quadrature`,
-the adaptive integral of the defining expression, and the event is
-recorded in the caller's QualityLog.
+Every expression is exact for the post-ZF SINR law, but the closed rate
+contains binomial-weighted alternating sums that cancel catastrophically
+once N - K is large.  They are accumulated in extended precision with a
+running condition estimate (sum |terms| / |sum|) and a propagated error
+estimate that includes each Ei-moment kernel's own (condition x 2.3e-16).
+The closed rate runs no quadrature: it is accepted whole, or, when either
+estimate exceeds its guard, the whole call goes to `rate_by_quadrature`
+and the event is recorded in the caller's QualityLog.
 
-The SER, its floor and its approximation are each one trapezoid sum of
-the SINR's count-law CDF over a fixed rule (`mgf_weighted_sum`), the
-outage is the tail of a Poisson plus negative-binomial count
-(`sinrdist._count_tail`), and the Jensen bound one trapezoid sum of the
-product-form MGF: all read only the gains, with no guard or fallback.
+The fallback rate and the Jensen bound are one trapezoid sum each of
+Hamdi's integral over the product-form MGF of the interference
+(`_product_form_integral`), the SER, its floor and its approximation are
+each one trapezoid sum of the SINR's count-law CDF over a fixed rule
+(`mgf_weighted_sum`), and the outage is the tail of a Poisson plus
+negative-binomial count (`sinrdist._count_tail`): all read only the gains,
+with no guard, no adaptive integral and no partial-fraction weights.
 """
 
 import math
@@ -26,8 +27,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .quadrature import QuadratureSpec, integrate_semi_infinite
-from .sinrdist import _count_tail, make_sinr_model, mgf_weighted_sum, pdf_z
+from .sinrdist import _count_tail, make_sinr_model, mgf_weighted_sum
 from .specfun import (_ei_moment_closed, _ei_moment_sequence,
                       _log_moment_normalized, digamma_int, tricomi_u)
 # unused here; bound because benchmark/tracing.py wraps them by name
@@ -52,8 +52,6 @@ __all__ = [
 
 LOG2E = 1.0 / math.log(2.0)
 _CANCEL_LIMIT = 1e12
-_RATE_SPEC = QuadratureSpec(relative_tolerance=1e-9,
-                            absolute_tolerance=1e-300)
 
 
 @dataclass(frozen=True)
@@ -145,24 +143,46 @@ def _rate_no_interference(config, beta):
     return LOG2E * _log_moment_normalized(nu, beta, config.transmit_snr)
 
 
-def rate_by_quadrature(config, fading, expansion, user, cell,
-                       spec=_RATE_SPEC):
-    """E log2(1 + p_u X/(p_u Z + 1)) by integrating the conditional Erlang
-    log-moment against the interference density.  This is the arbiter path:
-    no alternating sums anywhere."""
+def _finite_snr(config, name):
+    """p_u, which the rate and its bound need finite: both integrals weigh
+    by e^{-s/p_u}, and without interference the rate diverges at p_u = inf."""
+    p_u = config.transmit_snr
+    if not math.isfinite(p_u):
+        raise ValueError(f"{name} needs a finite transmit_snr, got {p_u}")
+    return p_u
+
+
+def _product_form_integral(p_u, slope, expansion, factor):
+    """int_R factor(s, ln M_Z(s)) e^{-s/p_u} du with s = e^u and M_Z(s) =
+    prod_m (1 + mu_m s)^-tau_m, by the trapezoid rule, step 1/4, on
+    [-ln(slope + 1/p_u) - 41.5, ln(45 p_u)], in one numpy pass.  `slope`
+    bounds factor(s, .) / s as s -> 0, so what lies outside the range is
+    below e^-41.5 of the integral; the integrand is analytic in a strip
+    about the real u axis, so the error of the sum falls like e^{-pi^2/h}
+    (Trefethen & Weideman 2014)."""
+    mu, tau = expansion.mu, expansion.tau
+    s = np.exp(np.arange(-math.log(slope + 1.0 / p_u) - 41.5,
+                         math.log(45.0 * p_u), 0.25))
+    log_mgf = np.log1p(np.multiply.outer(s, mu)) @ tau
+    return 0.25 * float(factor(s, log_mgf) @ np.exp(-s / p_u))
+
+
+def rate_by_quadrature(config, fading, expansion, user, cell):
+    """E log2(1 + p_u X/(p_u Z + 1)) from the gains alone: by Hamdi's lemma
+    (IEEE Trans. Commun. 58(2), 2010), with X Erlang(nu, beta),
+      R ln 2 = int e^{-s/p_u} M_Z(s) (1 - (1 + beta s)^-nu) du,  s = e^u,
+    a sum of positive terms.  This is the arbiter path: no alternating sums
+    and no partial-fraction weights anywhere."""
+    p_u = _finite_snr(config, "rate_by_quadrature")
     beta = fading.direct_gain(cell, user)
     if expansion.is_empty:
         return _rate_no_interference(config, beta)
     nu = config.zf_shape
-    p_u = config.transmit_snr
 
-    def f(z):
-        a = p_u / (p_u * np.asarray(z, dtype=float) + 1.0)
-        inner = [_log_moment_normalized(nu, beta, v) for v in a.flat]
-        return np.reshape(inner, a.shape) * pdf_z(expansion, z)
+    def factor(s, log_mgf):
+        return np.exp(-log_mgf) * -np.expm1(-nu * np.log1p(beta * s))
 
-    val = integrate_semi_infinite(f, 0.0, spec, scale=expansion.mean)
-    return LOG2E * val
+    return LOG2E * _product_form_integral(p_u, nu * beta, expansion, factor)
 
 
 def _rate_terms_representable(n, big_j, zmu, mu0, a_in, b_in, alph):
@@ -279,6 +299,7 @@ def rate_exact(config, fading, expansion, user, cell, quality=None):
     eigenvalue is simple), and the quadrature arbiter when the sums are too
     ill-conditioned (large N - K) or an eigenvalue exceeds the direct gain.
     """
+    _finite_snr(config, "rate_exact")
     beta = fading.direct_gain(cell, user)
     if expansion.is_empty:
         return RateResult(_rate_no_interference(config, beta),
@@ -298,18 +319,12 @@ def rate_exact(config, fading, expansion, user, cell, quality=None):
 
 def rate_lower_bound(config, fading, expansion, user, cell):
     """Jensen lower bound: log2(1 + p_u beta e^{psi(N-K+1) - E ln(p_u Z+1)});
-    E ln(1 + p_u Z) = int (1 - prod_m (1 + mu_m s)^-tau_m) e^{-s/p_u} du,
-    s = e^u (Hamdi's lemma), by the trapezoid rule, step 1/4, on
-    [-ln(E Z + 1/p_u) - 41.5, ln(45 p_u)]; the rest is below e^-41.5."""
-    p_u = config.transmit_snr
-    if not math.isfinite(p_u):
-        raise ValueError(f"rate_lower_bound needs a finite transmit_snr, "
-                         f"got {p_u}")
-    mu, tau = expansion.mu, expansion.tau
-    s = np.exp(np.arange(-math.log(float(tau @ mu) + 1.0 / p_u) - 41.5,
-                         math.log(45.0 * p_u), 0.25))
-    log_mgf = np.log1p(np.multiply.outer(s, mu)) @ tau
-    log_interf = 0.25 * float(-np.expm1(-log_mgf) @ np.exp(-s / p_u))
+    E ln(1 + p_u Z) = int (1 - M_Z(s)) e^{-s/p_u} du, s = e^u (Hamdi's
+    lemma), whose integrand grows like (E Z) s from s = 0."""
+    p_u = _finite_snr(config, "rate_lower_bound")
+    log_interf = _product_form_integral(
+        p_u, float(expansion.tau @ expansion.mu), expansion,
+        lambda s, log_mgf: -np.expm1(-log_mgf))
     value = math.log1p(p_u * fading.direct_gain(cell, user) * math.exp(
         digamma_int(config.zf_shape) - log_interf)) * LOG2E
     return RateResult(value, "lower_bound")

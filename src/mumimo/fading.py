@@ -5,7 +5,8 @@ sum of independent exponentials whose rates are the cross-cell large-scale
 gains.  This module groups those gains into distinct values with
 multiplicities, the law (mu, tau) that every metric reads.  Its
 partial-fraction ("characteristic") coefficients are built only when first
-read, by the closed rate and the density that its arbiter integrates.
+read, by the closed rate sum and by the density that the CDF arbiter
+integrates; the rate's fallback reads the gains.
 """
 
 import warnings
@@ -52,8 +53,9 @@ class SystemConfig:
             raise ValueError(
                 f"zero-forcing needs antennas >= users_per_cell "
                 f"({self.antennas} < {self.users_per_cell})")
-        if self.transmit_snr <= 0:
-            raise ValueError("transmit_snr must be positive (linear scale)")
+        if not self.transmit_snr > 0:
+            raise ValueError(f"transmit_snr must be positive (linear scale), "
+                             f"got {self.transmit_snr}")
 
     @property
     def zf_shape(self):
@@ -120,7 +122,7 @@ class CharacteristicExpansion:
     multiplicities tau_m, E e^{sZ} = prod_m (1 - mu_m s)^-tau_m.
 
     Its partial-fraction weights `chi` are built on first read: only the
-    closed rate, the density `pdf_z` and `mgf` use them.
+    closed rate sum, the density `pdf_z` and `mgf` use them.
     """
 
     mu: np.ndarray

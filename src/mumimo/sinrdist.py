@@ -10,8 +10,10 @@ simulation.
 The CDF of gamma (the outage) and the Erlang CDF are the tail of one
 Poisson plus negative-binomial count over the gains (`_count_tail`), and
 every transform of gamma is that CDF integrated by parts, a fixed trapezoid
-sum of positive terms.  Only the arbiters read the partial-fraction density
-`pdf_z`, and so the expansion's weights chi.
+sum of positive terms.  Only the CDF arbiter `sinr_cdf_quadrature` reads the
+partial-fraction density `pdf_z`, and so the expansion's weights chi; the
+rate's fallback integrates the product-form MGF of Z instead
+(`closedform.rate_by_quadrature`).
 """
 
 import math
@@ -64,8 +66,8 @@ class SinrModel:
     p_u: float
 
     def __post_init__(self):
-        if self.p_u <= 0:
-            raise ValueError("p_u must be positive")
+        if not self.p_u > 0:
+            raise ValueError(f"p_u must be positive, got {self.p_u}")
 
 
 def make_sinr_model(config, fading, user, cell, expansion=None):

@@ -7,18 +7,6 @@ from mumimo import asymptotic as asym
 from mumimo.fading import symmetric_fading
 
 
-def test_regime_validation():
-    asym.AsymptoticRegime("fixed_K")
-    asym.AsymptoticRegime("fixed_ratio", kappa=2.0)
-    asym.AsymptoticRegime("power_scaled", e_u=10.0)
-    with pytest.raises(ValueError):
-        asym.AsymptoticRegime("bogus")
-    with pytest.raises(ValueError):
-        asym.AsymptoticRegime("fixed_ratio", kappa=1.0)
-    with pytest.raises(ValueError):
-        asym.AsymptoticRegime("power_scaled", e_u=0.0)
-
-
 def test_deterministic_sir_symmetric_closed_form():
     # gamma_bar = (kappa - 1) / ((L - 1) a)
     fad = symmetric_fading(4, 10, 1.0, 0.1)

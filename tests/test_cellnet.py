@@ -19,6 +19,14 @@ def test_scenario_validation():
         cn.OfdmParams(useful_duration=1e-3)
 
 
+@pytest.mark.parametrize("p_u", [math.nan, 0.0, -1.0, math.inf])
+def test_scenario_rejects_a_transmit_snr_that_is_not_positive_and_finite(
+        p_u):
+    # unchecked, NaN, -1 and inf gave NaN rates and 0 gave rates of 0
+    with pytest.raises(ValueError, match="transmit_snr"):
+        cn.NetworkScenario(transmit_snr=p_u)
+
+
 def test_ofdm_overhead_value():
     np.testing.assert_allclose(cn.OfdmParams().overhead, 66.7 / 71.4,
                                rtol=1e-12)

@@ -144,7 +144,7 @@ def test_rate_guard_trips_at_large_n():
 
 def test_rate_fallback_finds_a_narrow_interference_density():
     # cross gain 1e-6: the interference mean is 3e-5, far below 1, and the
-    # fallback must still sample it; the rate lies between the Jensen bound
+    # fallback must still resolve it; the rate lies between the Jensen bound
     # and the interference-free rate
     cfg, fad, exp = scenario1(20, 1e-6)
     res = cf.rate_exact(cfg, fad, exp, 0, 0)
@@ -228,10 +228,111 @@ def test_bound_matches_mpmath(system):
 
 
 def test_bound_needs_a_finite_transmit_power():
+    # the rate, its fallback and its bound each weigh by e^{-s/p_u}; they
+    # used to fail at p_u = inf with unrelated errors (a math domain error,
+    # a NaN-to-integer conversion, and expint_en_scaled's z > 0 at L = 1)
     cfg, fad, exp = scenario1(20, 0.1)
+    cfg_inf = replace(cfg, transmit_snr=math.inf)
+    for fn in (cf.rate_lower_bound, cf.rate_exact, cf.rate_by_quadrature):
+        with pytest.raises(ValueError, match="transmit_snr"):
+            fn(cfg_inf, fad, exp, 0, 0)
     with pytest.raises(ValueError, match="transmit_snr"):
-        cf.rate_lower_bound(replace(cfg, transmit_snr=math.inf), fad, exp,
-                            0, 0)
+        cf.rate_exact(SystemConfig(1, 10, 20, math.inf), symmetric_fading(
+            1, 10), CharacteristicExpansion.empty(), 0, 0)
+
+
+def rate_mpmath(mp, cfg, fad, p_u):
+    """The rate at 30 digits by Hamdi's lemma: R ln 2 is the integral over
+    u = ln s of e^{-s / p_u} prod_m (1 + mu_m s)^-tau_m (1 - (1 + beta
+    s)^-nu).  The product is formed directly: at 30 digits it loses
+    nothing a double can show, and it is several times faster than a sum
+    of logs over the 840 gains of a reuse-1 drop."""
+    profile = build_profile(cfg, fad, 0)
+    with mp.workdps(30):
+        mus = [mp.mpf(float(m)) for m in profile.mu]
+        taus = [int(t) for t in profile.tau]
+        t0 = 1 / mp.mpf(p_u)
+        beta, nu = mp.mpf(fad.direct_gain(0, 0)), cfg.zf_shape
+
+        def f(u):
+            s = mp.exp(u)
+            mgf = mp.fprod((1 + m * s) ** -k for m, k in zip(mus, taus))
+            return mgf * mp.exp(-s * t0) * -mp.expm1(-nu * mp.log1p(beta * s))
+
+        # beyond these ends the integrand is below e^-60 of its scale
+        lo = -mp.log(nu * beta + t0)
+        hi = mp.log(mp.mpf(p_u))
+        return float(mp.quad(f, [lo - 60, lo - 30, lo, hi, hi + 5])
+                     / mp.log(2))
+
+
+@pytest.mark.parametrize("system,method", [
+    (lambda: scenario1(500, 0.1), "quadrature_fallback"),
+    (lambda: scenario1(20, 0.1, p_u=1e-6), "quadrature_fallback"),
+    (lambda: scenario1(20, 0.1, p_u=1e6), "exact_general"),
+    (lambda: scenario1(20, 1e-6), "quadrature_fallback"),
+    (lambda: profile_system(4, 10, BREAKDOWN_GAINS, 20, 10.0),
+     "quadrature_fallback"),
+    (lambda: profile_system(4, 10, np.repeat([0.1, 0.2, 0.3], 10), 20, 10.0),
+     "quadrature_fallback"),
+    (lambda: distinct_profile(16, 1e-6), "quadrature_fallback"),
+    (lambda: distinct_profile(16, 1e6), "exact_distinct"),
+    (lambda: network_drop_system(), "quadrature_fallback"),
+    (lambda: network_drop_system(reuse=3, seed=1), "quadrature_fallback"),
+    (lambda: network_drop_system(reuse=1, antennas=100, seed=0),
+     "quadrature_fallback"),
+], ids=["s1-N500", "s1-1e-6", "s1-1e6", "cross-1e-6", "breakdown",
+        "0.1/0.2/0.3", "distinct-1e-6", "distinct-1e6", "reuse7-drop",
+        "reuse3-drop", "reuse1-N100-drop"])
+def test_rate_matches_mpmath(system, method):
+    # the fallback used to integrate the partial-fraction density, and
+    # raised QuadratureError on the broken profiles and on every drop
+    mp = pytest.importorskip("mpmath")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # chi, where broken
+        cfg, fad, exp = system()
+        res = cf.rate_exact(cfg, fad, exp, 0, 0)
+    assert res.method == method
+    want = rate_mpmath(mp, cfg, fad, cfg.transmit_snr)
+    np.testing.assert_allclose(res.value, want, rtol=1e-13)
+
+
+def test_rate_fallback_runs_no_adaptive_integral(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("called a refused function")
+
+    for module in (quadrature, cf):
+        monkeypatch.setattr(module, "integrate", refuse)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for system in (scenario1(500, 0.1),
+                       profile_system(4, 10, BREAKDOWN_GAINS, 20, 10.0),
+                       network_drop_system()):
+            res = cf.rate_exact(*system, 0, 0)
+            assert res.method == "quadrature_fallback" and res.value > 0.0
+    # and it reads the gains only: no partial-fraction weights, no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cfg, fad, exp = network_drop_system()
+        assert cf.rate_by_quadrature(cfg, fad, exp, 0, 0) > 0.0
+        assert "chi" not in vars(exp)
+
+
+@pytest.mark.parametrize("reuse", (1, 3, 7))
+def test_rate_on_network_drops_falls_back_between_its_bounds(reuse):
+    # every drop tried trips the closed rate's guard; the fallback lies
+    # between the Jensen bound and the interference-free rate
+    for seed in (0, 1):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            cfg, fad, exp = network_drop_system(reuse=reuse, seed=seed)
+            quality = cf.QualityLog()
+            res = cf.rate_exact(cfg, fad, exp, 0, 0, quality=quality)
+        assert res.method == "quadrature_fallback"
+        assert res.cancellation_flagged and quality.tripped
+        bound = cf.rate_lower_bound(cfg, fad, exp, 0, 0).value
+        free = cf._rate_no_interference(cfg, fad.direct_gain(0, 0))
+        assert bound < res.value < free
 
 
 def test_cell_sum_rate_symmetric_shortcut():
@@ -428,8 +529,7 @@ def test_ser_mgf_and_bound_run_no_integral_and_read_only_the_gains(
     # no adaptive integral (every one goes through quadrature.integrate),
     # no partial-fraction density, no node-by-node MGF
     for module, name in ((quadrature, "integrate"), (sd, "pdf_z"),
-                         (cf, "pdf_z"), (sd, "hyp2f0_neg"),
-                         (sd, "expint_en_scaled")):
+                         (sd, "hyp2f0_neg"), (sd, "expint_en_scaled")):
         monkeypatch.setattr(module, name, refuse)
     sd._cdf.cache_clear()
     for (cfg, fad, _), values in zip(systems, want):
@@ -468,13 +568,13 @@ def test_ser_where_the_expansion_breaks_down_matches_monte_carlo(cross):
     assert abs(got - mean) <= 5.0 * sigma
 
 
-def network_drop_system():
-    """Reuse-7 hexagonal drop (seed 3, N=20, 10 dB): 120 cross gains spread
-    over decades, whose expansion is garbage."""
+def network_drop_system(reuse=7, antennas=20, seed=3):
+    """Hexagonal drop at 10 dB, by default reuse 7, N=20, seed 3: 120 cross
+    gains spread over decades, whose expansion is garbage."""
     from mumimo import cellnet
-    sc = cellnet.NetworkScenario(reuse_factor=7, antennas=20)
+    sc = cellnet.NetworkScenario(reuse_factor=reuse, antennas=antennas)
     drop = cellnet.drop_users(sc, cellnet.build_hex_grid(sc),
-                              np.random.default_rng(3))
+                              np.random.default_rng(seed))
     cells = drop.beta_home.shape[0]
     beta = np.ones((cells, cells, sc.users_per_cell))
     beta[0] = drop.beta_home
@@ -760,8 +860,8 @@ def test_closed_rate_runs_no_quadrature(monkeypatch):
 
 def test_closed_rate_error_estimate_bounds_its_deviation():
     # wherever the guard accepts the closed sum, its propagated error
-    # estimate (plus the arbiter's own 1e-9 tolerance) bounds the distance
-    # to the quadrature arbiter
+    # estimate (plus 1e-13 for the product-form arbiter's own error) bounds
+    # the distance to the arbiter
     accepted = 0
     for k in (4, 10):
         for a in (0.05, 0.3, 0.5):
@@ -773,7 +873,7 @@ def test_closed_rate_error_estimate_bounds_its_deviation():
                         continue
                     accepted += 1
                     ref = cf.rate_by_quadrature(cfg, fad, exp, 0, 0)
-                    assert abs(value - ref) <= (est + 2e-9) * ref, \
+                    assert abs(value - ref) <= (est + 1e-13) * ref, \
                         (k, a, n, p_u)
     assert accepted >= 20
 

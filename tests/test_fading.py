@@ -21,6 +21,14 @@ def test_system_config_invariants():
     assert SystemConfig(4, 10, 20, 1.0).zf_shape == 11
 
 
+@pytest.mark.parametrize("p_u", [float("nan"), 0.0, -1.0])
+def test_system_config_rejects_a_nan_or_non_positive_transmit_snr(p_u):
+    # NaN passed a `p_u <= 0` check, and every metric then computed with it
+    with pytest.raises(ValueError, match="transmit_snr"):
+        SystemConfig(4, 10, 20, p_u)
+    assert SystemConfig(4, 10, 20, float("inf")).transmit_snr == float("inf")
+
+
 def test_fading_tensor_validation():
     with pytest.raises(ValueError):
         LargeScaleFading(np.ones((2, 3, 4)))

@@ -105,6 +105,15 @@ def test_desired_power_dist_validation():
         sd.DesiredPowerDist(3, 0.0)
 
 
+def test_sinr_model_rejects_a_nan_or_non_positive_transmit_snr():
+    _, _, model = scenario1_model()
+    for p_u in (math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="p_u"):
+            sd.SinrModel(model.desired, model.interference, p_u)
+    assert sd.SinrModel(model.desired, model.interference, math.inf).p_u \
+        == math.inf
+
+
 def test_pdf_x_exponential_when_shape_one():
     dist = sd.DesiredPowerDist(1, 2.0)
     for x in (0.0, 0.4, 3.0):
