@@ -197,10 +197,17 @@ def net_rate_samples(scenario, ofdm, drop, rng, samples=1, user=None):
     users = ([user] if user is not None
              else list(range(scenario.users_per_cell)))
     beta_d = drop.beta_home[0, users]
-    x = -np.log(rng.random((samples, len(users), nu))).sum(axis=2) * beta_d
+    # logs and products in place and the sign after the sum: the same bits
+    # as summing -log(u) (rounding is symmetric in sign), with no full-size
+    # temporaries besides the uniforms
+    u = rng.random((samples, len(users), nu))
+    x = np.log(u, out=u).sum(axis=2) * -beta_d
     cross = drop.beta_home[1:].ravel()
     if cross.size:
-        z = (-np.log(rng.random((samples, cross.size))) * cross).sum(axis=1)
+        v = rng.random((samples, cross.size))
+        np.log(v, out=v)
+        v *= cross
+        z = -v.sum(axis=1)
     else:
         z = np.zeros(samples)
     gamma = p_u * x / (p_u * z[:, None] + 1.0 / r)

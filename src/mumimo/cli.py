@@ -55,7 +55,9 @@ CONFIG_KEYS = {
     "out": (str, "out", "output directory"),
     "threads": (_parse_int, 1, "worker threads for sweeps"),
     "trials": (_parse_int, 10000, "Monte Carlo trials per point"),
-    "batch_size": (_parse_int, 512, "Monte Carlo chunk size"),
+    "batch_size": (_parse_int, montecarlo.TrialPlan.batch_size,
+                   "Monte Carlo trials per block (memory only; no result "
+                   "depends on it)"),
     "cells": (_parse_int, 4, "number of cells L"),
     "users": (_parse_int, 10, "users per cell K"),
     "n_list": (_parse_int_list, (20,), "antenna counts to sweep"),
@@ -208,21 +210,33 @@ def _fmt(value):
     return str(value)
 
 
+def _format_column(values):
+    """Text of one CSV column; floats get 17 significant digits.  A float
+    array is formatted in one pass over its Python floats."""
+    if isinstance(values, np.ndarray) and values.dtype.kind == "f":
+        return map("{:.17g}".format, values.tolist())
+    return map(_fmt, values)
+
+
 # execution details that do not affect results; kept out of CSV headers so
-# re-runs with different parallelism or output paths stay byte-identical
-_NON_RESULT_KEYS = ("threads", "out")
+# re-runs with different parallelism, block sizes or output paths stay
+# byte-identical
+_NON_RESULT_KEYS = ("threads", "out", "batch_size")
 
 
-def _write_csv(path, cfg, mode, columns, rows):
+def _write_csv(path, cfg, mode, names, columns):
+    """Write `columns` (equal-length sequences, one per name in `names`)
+    under the `#` header of the resolved config."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     header_cfg = {k: v for k, v in cfg.items() if k not in _NON_RESULT_KEYS}
+    body = "\n".join(map(",".join, zip(*map(_format_column, columns))))
     with open(path, "w", newline="") as fh:
         fh.write(f"# mode = {mode}\n")
         for line in serialize_config(header_cfg).splitlines():
             fh.write(f"# {line}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(",".join(names) + "\n")
+        if body:
+            fh.write(body + "\n")
     return path
 
 
@@ -439,12 +453,11 @@ def _sweep(mode, cfg, quality, stem):
                 path = os.path.join(out_dir,
                                     f"{stem}_samples_r{reuse}_n{n}.csv")
                 extra.append(_write_csv(path, cfg, "scenario2-samples",
-                                        ("net_rate_bps",),
-                                        [(v,) for v in samples]))
+                                        ("net_rate_bps",), [samples]))
         rows = [row[:-1] for row in rows]
         stem += "_summary"
     path = _write_csv(os.path.join(out_dir, f"{stem}.csv"), cfg, mode,
-                      columns, rows)
+                      columns, list(zip(*rows)))
     return [path] + extra
 
 

@@ -185,12 +185,17 @@ def rate_by_quadrature(config, fading, expansion, user, cell):
     return LOG2E * _product_form_integral(p_u, nu * beta, expansion, factor)
 
 
+_LOG_LD_MAX = float(np.log(np.finfo(np.longdouble).max))
+
+
 def _rate_terms_representable(n, big_j, zmu, mu0, a_in, b_in, alph):
     """Cheap magnitude precheck: the largest Tricomi-U value and the
     Ei-moment kernel magnitude must fit in double precision (the recursion
     itself gets extended-precision headroom).  When they cannot, the sum's
     condition number is astronomically past the guard anyway, so the
     caller goes straight to quadrature."""
+    if b_in > _LOG_LD_MAX:  # e^{b_in} itself leaves the long-double range
+        return False
     if big_j >= 1:
         d = big_j - 1
         # U(n, n+d+1, z) ~ Gamma(n+d)/Gamma(n) z^{-(n+d)} for small z
@@ -239,7 +244,6 @@ def _rate_general(config, beta, expansion):
     a_in = 1.0 / beta
     b_in = 1.0 / (beta * p_u)
     ld = np.longdouble
-    exp_b = np.exp(ld(b_in))
     total = ld(0.0)
     total_abs = ld(0.0)
     err = ld(0.0)
@@ -253,6 +257,7 @@ def _rate_general(config, beta, expansion):
         if not _rate_terms_representable(n, big_j, zmu, alph / a_in,
                                          a_in, b_in, alph):
             return math.nan, math.inf, math.inf
+        exp_b = np.exp(ld(b_in))  # the precheck bounded b_in
         # U(n, n + d + 1, zmu) for d = 0 .. J-1, shared across the p-sum
         us = [ld(tricomi_u(n, n + d + 1, zmu)) for d in range(big_j)]
         seq = _ei_moment_sequence(n - 1 + big_j, a_in, b_in, alph)

@@ -5,11 +5,18 @@ outage empirically.
 Determinism contract: the randomness of trial t is a pure function of
 (base_seed, t) through a counter-based Philox key, so results are
 bit-identical no matter how trials are chunked or threaded; reductions are
-merge-only (sums, counts).
+merge-only (sums, counts).  `sinr_trials` runs its blocks of
+`TrialPlan.batch_size` trials on a thread pool sized to the CPUs this
+process may use (numpy's normal fills, `matmul` and `inv` release the
+interpreter lock) and yields them in trial order, so neither the block
+size nor the thread count changes a draw or a result.
 """
 
 import math
+import os
+from collections import deque
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -29,6 +36,13 @@ __all__ = [
 ]
 
 _COND_GATE = 1e14
+
+
+# threads of the `sinr_trials` block pool: the CPUs this process may use
+try:
+    _WORKERS = len(os.sched_getaffinity(0))
+except AttributeError:  # no affinity masks on this platform
+    _WORKERS = os.cpu_count() or 1
 
 
 class RankDeficiencyError(RuntimeError):
@@ -53,11 +67,14 @@ class ChannelRealization:
 
 @dataclass(frozen=True)
 class TrialPlan:
-    """How many trials, from which seed, processed in which chunk size."""
+    """How many trials, from which seed, processed in blocks of how many.
+
+    The block size is an execution detail: it sets the memory of one block
+    (32 trials at N = 100 is 2 MB of channels), never a result."""
 
     num_trials: int
     base_seed: int = 0
-    batch_size: int = 512
+    batch_size: int = 32
 
     def __post_init__(self):
         if self.num_trials < 1:
@@ -180,23 +197,47 @@ def zf_sinr(realization, p_u):
     return out[0]
 
 
-def sinr_trials(config, fading, plan, home_cell=0):
-    """Yield (T_chunk, K) SINR arrays over the plan's trials.
-
-    Channels are drawn per trial from trial_rng(base_seed, t); the linear
-    algebra is batched per chunk purely for speed.
-    """
+def _sinr_block(config, fading, plan, home_cell, start):
+    """SINRs of trials start .. start + batch_size - 1 (fewer at the end),
+    each drawn from its own re-keyed stream; shape (T_block, K)."""
     cells, n, k = config.num_cells, config.antennas, config.users_per_cell
-    rng = trial_rng(plan.base_seed, 0)
-    done = 0
-    while done < plan.num_trials:
-        count = min(plan.batch_size, plan.num_trials - done)
-        g = np.empty((count, cells, n, k), dtype=complex)
-        for j in range(count):
-            _draw_cn(_rekey(rng, plan.base_seed, done + j), g[j])
-        g *= np.sqrt(fading.beta[home_cell][None, :, None, :])
-        yield _zf_sinr_batch(g, home_cell, config.transmit_snr)
-        done += count
+    count = min(plan.batch_size, plan.num_trials - start)
+    rng = trial_rng(plan.base_seed, start)
+    g = np.empty((count, cells, n, k), dtype=complex)
+    for j in range(count):
+        _draw_cn(_rekey(rng, plan.base_seed, start + j), g[j])
+    g *= np.sqrt(fading.beta[home_cell][None, :, None, :])
+    return _zf_sinr_batch(g, home_cell, config.transmit_snr)
+
+
+def sinr_trials(config, fading, plan, home_cell=0):
+    """Yield (T_block, K) SINR arrays over the plan's trials, in order.
+
+    Trial t's channels are drawn from trial_rng(base_seed, t) whichever
+    block or thread runs it.  Blocks run on `_WORKERS` threads, at most
+    two per thread ahead of the consumer; closing the generator cancels
+    the blocks not yet started and waits for the running ones.
+    """
+    block = partial(_sinr_block, config, fading, plan, home_cell)
+    starts = range(0, plan.num_trials, plan.batch_size)
+    if _WORKERS <= 1 or len(starts) <= 1:
+        yield from map(block, starts)
+        return
+    # imported here, so that programs that never sample do not pay for it
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
+        ahead = 2 * _WORKERS
+        pending = deque(pool.submit(block, s) for s in starts[:ahead])
+        try:
+            for start in starts[ahead:]:
+                done = pending.popleft().result()
+                pending.append(pool.submit(block, start))
+                yield done
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
 
 
 @dataclass(frozen=True)

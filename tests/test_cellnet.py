@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -174,6 +176,48 @@ def test_net_rate_reuse_one_reduces_to_plain_rate():
     assert (rates >= 0).all()
     assert rates.max() <= ofdm.bandwidth * ofdm.overhead \
         * math.log2(1 + 1e18)
+
+
+def _net_rate_samples_reference(scenario, ofdm, drop, rng, samples, user):
+    """`net_rate_samples` as first written: -log of the uniforms, then
+    products and sums out of place."""
+    r, p_u, nu = (scenario.reuse_factor, scenario.transmit_snr,
+                  scenario.zf_shape)
+    users = ([user] if user is not None
+             else list(range(scenario.users_per_cell)))
+    beta_d = drop.beta_home[0, users]
+    x = -np.log(rng.random((samples, len(users), nu))).sum(axis=2) * beta_d
+    cross = drop.beta_home[1:].ravel()
+    z = (-np.log(rng.random((samples, cross.size))) * cross).sum(axis=1)
+    gamma = p_u * x / (p_u * z[:, None] + 1.0 / r)
+    rate = (ofdm.bandwidth / r) * ofdm.overhead * np.log2(1.0 + gamma)
+    return rate[:, 0] if user is not None else rate
+
+
+FIXED_DROP = (Path(__file__).resolve().parents[1] / "benchmark"
+              / "fixed_drop.json")
+
+
+def _stored_drop():
+    stored = json.loads(FIXED_DROP.read_text())
+    return cn.UserDrop(*(np.array(stored[key]) for key in
+                         ("bs_positions", "positions", "beta_home")))
+
+
+@pytest.mark.parametrize("user", [None, 3])
+@pytest.mark.parametrize("reuse", [1, 7])
+def test_net_rate_samples_match_the_out_of_place_formula(reuse, user):
+    sc = cn.NetworkScenario(reuse_factor=reuse, antennas=20)
+    ofdm = cn.OfdmParams()
+    drop = (_stored_drop() if reuse == 1 else
+            cn.drop_users(sc, cn.build_hex_grid(sc),
+                          np.random.default_rng(7)))
+    got = cn.net_rate_samples(sc, ofdm, drop, np.random.default_rng(4),
+                              samples=300, user=user)
+    want = _net_rate_samples_reference(sc, ofdm, drop,
+                                       np.random.default_rng(4), 300, user)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 def test_net_rate_increases_with_power():

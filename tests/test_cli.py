@@ -10,6 +10,7 @@ from mumimo.closedform import (ModulationScheme, outage_exact, rate_exact,
                                ser_exact)
 from mumimo.fading import (SystemConfig, build_profile,
                            characteristic_coefficients, symmetric_fading)
+from mumimo.montecarlo import TrialPlan
 from test_closedform import BREAKDOWN_GAINS, profile_system
 
 
@@ -136,6 +137,29 @@ def test_byte_identical_across_threads_and_reruns(tmp_path):
                                 threads]) == 0
         outs.append((out / "montecarlo.csv").read_bytes())
     assert outs[0] == outs[1] == outs[2]
+
+
+def test_batch_size_is_an_execution_detail(tmp_path):
+    assert cli.CONFIG_KEYS["batch_size"][1] == TrialPlan.batch_size
+    args = ["montecarlo", "--seed", "7", "--trials", "100",
+            "--set", "n_list=12", "--set", "users=4"]
+    outs = []
+    for name, batch in (("a", []), ("b", ["--set", "batch_size=7"])):
+        out = tmp_path / name
+        assert cli.main(args + batch + ["--out", str(out)]) == 0
+        outs.append((out / "montecarlo.csv").read_bytes())
+    assert outs[0] == outs[1]
+    assert b"batch_size" not in outs[0]
+
+
+def test_csv_columns_format_like_single_cells(tmp_path):
+    values = np.array([0.1, 1 / 3, 2.0 ** 60, 5e-324, -0.0, 123456789.125])
+    rows = [("a", 3, 1.5, np.float64(0.2), v) for v in values]
+    path = cli._write_csv(str(tmp_path / "t.csv"), {}, "test", "abcde",
+                          list(zip(*rows))[:4] + [values])
+    body = open(path).read().split("a,b,c,d,e\n", 1)[1]
+    assert body == "".join(",".join(cli._fmt(v) for v in row) + "\n"
+                           for row in rows)
 
 
 def test_exit_code_2_on_bad_config(tmp_path, capsys):

@@ -318,6 +318,16 @@ def test_rate_fallback_runs_no_adaptive_integral(monkeypatch):
         assert "chi" not in vars(exp)
 
 
+def test_rate_at_low_snr_falls_back_without_overflowing():
+    # e^{1/(beta p_u)} = e^{1e6} leaves the long-double range; the closed
+    # sum used to compute it, with an overflow warning, before rejecting
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = cf.rate_exact(*scenario1(20, 0.1, p_u=1e-6), 0, 0)
+    assert res.method == "quadrature_fallback"
+    assert res.value == 1.586950262451365e-05
+
+
 @pytest.mark.parametrize("reuse", (1, 3, 7))
 def test_rate_on_network_drops_falls_back_between_its_bounds(reuse):
     # every drop tried trips the closed rate's guard; the fallback lies

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -80,6 +81,66 @@ def test_results_independent_of_chunk_schedule():
     b = np.concatenate(list(mc.sinr_trials(
         cfg, fad, mc.TrialPlan(60, base_seed=5, batch_size=60))))
     assert np.array_equal(a, b)
+
+
+def _all_estimates(cfg, fad, plan, gamma_th):
+    rows = np.concatenate(list(mc.sinr_trials(cfg, fad, plan)))
+    return (rows, mc.estimate_rate(cfg, fad, plan),
+            mc.estimate_ser(cfg, fad, cf.ModulationScheme(4), plan),
+            mc.estimate_outage(cfg, fad, plan, gamma_th))
+
+
+@pytest.mark.parametrize("n, gamma_th", [(20, 2.0), (100, 28.0)])
+def test_results_independent_of_threads_and_block_size(monkeypatch, n,
+                                                       gamma_th):
+    cfg, fad = scenario1(n=n)
+    want = None
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(mc, "_WORKERS", workers)
+        for batch in (7, 32, 512):
+            got = _all_estimates(cfg, fad, mc.TrialPlan(
+                150, base_seed=31, batch_size=batch), gamma_th)
+            if want is None:
+                want = got
+            assert np.array_equal(got[0], want[0])
+            assert got[1:] == want[1:]
+
+
+# the estimates of the sequential 512-trial chunks that came before the
+# block pool, which must not move
+PINNED_ESTIMATES = {
+    20: ("Estimate(value=2.162486500061064, std_error=0.0065896273590413685,"
+         " num_trials=600)",
+         "Estimate(value=0.07162838977401365, std_error=0.0008213827560437436,"
+         " num_trials=600)",
+         "Estimate(value=0.07083333333333333, std_error=0.003847244362615902,"
+         " num_trials=600)"),
+    100: ("Estimate(value=4.936603508121262, std_error=0.0060022618566274305,"
+          " num_trials=200)",
+          "Estimate(value=9.939187028987039e-07,"
+          " std_error=1.6509452231319355e-07, num_trials=200)",
+          "Estimate(value=0.38400000000000006,"
+          " std_error=0.010690718277385863, num_trials=200)"),
+}
+
+
+@pytest.mark.parametrize("n, trials, gamma_th", [(20, 600, 2.0),
+                                                 (100, 200, 28.0)])
+def test_estimates_pinned_at_scenario_1(n, trials, gamma_th):
+    cfg, fad = scenario1(n=n)
+    plan = mc.TrialPlan(trials, base_seed=2012)
+    got = _all_estimates(cfg, fad, plan, gamma_th)[1:]
+    assert tuple(map(repr, got)) == PINNED_ESTIMATES[n]
+
+
+def test_closing_sinr_trials_early_stops_its_threads(monkeypatch):
+    monkeypatch.setattr(mc, "_WORKERS", 2)
+    cfg, fad = scenario1(n=12, k=4, cells=2)
+    before = threading.active_count()
+    trials = mc.sinr_trials(cfg, fad, mc.TrialPlan(640, batch_size=8))
+    assert next(trials).shape == (8, 4)
+    trials.close()
+    assert threading.active_count() == before
 
 
 def test_sinr_trial_rows_are_single_realizations():
