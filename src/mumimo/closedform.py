@@ -194,8 +194,6 @@ def _rate_terms_representable(n, big_j, zmu, mu0, a_in, b_in, alph):
     itself gets extended-precision headroom).  When they cannot, the sum's
     condition number is astronomically past the guard anyway, so the
     caller goes straight to quadrature."""
-    if b_in > _LOG_LD_MAX:  # e^{b_in} itself leaves the long-double range
-        return False
     if big_j >= 1:
         d = big_j - 1
         # U(n, n+d+1, z) ~ Gamma(n+d)/Gamma(n) z^{-(n+d)} for small z
@@ -243,7 +241,10 @@ def _rate_general(config, beta, expansion):
     p_u = config.transmit_snr
     a_in = 1.0 / beta
     b_in = 1.0 / (beta * p_u)
+    if b_in > _LOG_LD_MAX:  # e^{b_in} itself leaves the long-double range
+        return math.nan, math.inf, math.inf
     ld = np.longdouble
+    exp_b = np.exp(ld(b_in))
     total = ld(0.0)
     total_abs = ld(0.0)
     err = ld(0.0)
@@ -257,7 +258,6 @@ def _rate_general(config, beta, expansion):
         if not _rate_terms_representable(n, big_j, zmu, alph / a_in,
                                          a_in, b_in, alph):
             return math.nan, math.inf, math.inf
-        exp_b = np.exp(ld(b_in))  # the precheck bounded b_in
         # U(n, n + d + 1, zmu) for d = 0 .. J-1, shared across the p-sum
         us = [ld(tricomi_u(n, n + d + 1, zmu)) for d in range(big_j)]
         seq = _ei_moment_sequence(n - 1 + big_j, a_in, b_in, alph)

@@ -14,7 +14,6 @@ size nor the thread count changes a draw or a result.
 
 import math
 import os
-from collections import deque
 from dataclasses import dataclass
 from functools import partial
 
@@ -214,30 +213,15 @@ def sinr_trials(config, fading, plan, home_cell=0):
     """Yield (T_block, K) SINR arrays over the plan's trials, in order.
 
     Trial t's channels are drawn from trial_rng(base_seed, t) whichever
-    block or thread runs it.  Blocks run on `_WORKERS` threads, at most
-    two per thread ahead of the consumer; closing the generator cancels
-    the blocks not yet started and waits for the running ones.
+    block or thread runs it.  Blocks run on `_WORKERS` threads; closing the
+    generator cancels the blocks not yet started and waits for the running
+    ones.
     """
-    block = partial(_sinr_block, config, fading, plan, home_cell)
-    starts = range(0, plan.num_trials, plan.batch_size)
-    if _WORKERS <= 1 or len(starts) <= 1:
-        yield from map(block, starts)
-        return
     # imported here, so that programs that never sample do not pay for it
     from concurrent.futures import ThreadPoolExecutor
+    block = partial(_sinr_block, config, fading, plan, home_cell)
     with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
-        ahead = 2 * _WORKERS
-        pending = deque(pool.submit(block, s) for s in starts[:ahead])
-        try:
-            for start in starts[ahead:]:
-                done = pending.popleft().result()
-                pending.append(pool.submit(block, start))
-                yield done
-            while pending:
-                yield pending.popleft().result()
-        finally:
-            for future in pending:
-                future.cancel()
+        yield from pool.map(block, range(0, plan.num_trials, plan.batch_size))
 
 
 @dataclass(frozen=True)
