@@ -43,10 +43,12 @@ class NetworkScenario:
 
     def __post_init__(self):
         if not (0 < self.exclusion_radius < self.cell_radius
-                < self.interference_horizon):
-            raise ValueError("need 0 < r_h < cell radius < horizon")
-        if self.path_loss_exponent <= 2:
-            raise ValueError("path loss exponent must exceed 2")
+                < self.interference_horizon < math.inf):
+            raise ValueError("need 0 < r_h < cell radius < horizon < inf")
+        if not 2 < self.path_loss_exponent < math.inf:
+            raise ValueError("path loss exponent must be finite, above 2")
+        if not 0 <= self.shadow_sigma_db < math.inf:
+            raise ValueError("shadow_sigma_db must be finite and >= 0")
         if self.reuse_factor not in _REUSE_SHIFTS:
             raise ValueError("reuse factor must be 1, 3, or 7")
         if self.antennas < self.users_per_cell:
@@ -67,8 +69,10 @@ class OfdmParams:
     bandwidth: float = 20e6
 
     def __post_init__(self):
-        if not 0 < self.useful_duration <= self.symbol_duration:
-            raise ValueError("need 0 < T_u <= T_s")
+        if not 0 < self.useful_duration <= self.symbol_duration < math.inf:
+            raise ValueError("need 0 < T_u <= T_s < inf")
+        if not 0 < self.bandwidth < math.inf:
+            raise ValueError("bandwidth must be positive and finite")
 
     @property
     def overhead(self):

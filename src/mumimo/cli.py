@@ -2,21 +2,21 @@
 
 Every experiment is a (mode, flat key-value config) pair.  Configs come
 from defaults, then an optional config file, then command-line overrides
-(flags win).  All randomness derives from the single `seed` key, and
-reductions are merge-only, so a run is byte-identical for any thread
-count.  dB-to-linear conversion happens exactly once, at this boundary:
-library APIs are linear-only.
+(flags win).  Sweep points run in order; the Monte Carlo oracle threads
+its own trials.  All randomness derives from the single `seed` key, and
+reductions are merge-only, so a run is byte-identical on any machine.
+`threads` is accepted and checked but has no effect.  dB-to-linear
+conversion happens exactly once, at this boundary: APIs are linear-only.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical-quality flag
 (a cancellation guard tripped somewhere; results fell back to quadrature).
 """
 
 import argparse
-import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from functools import partial
+from math import inf
 
 import numpy as np
 
@@ -53,11 +53,8 @@ def _parse_int_list(text):
 CONFIG_KEYS = {
     "seed": (_parse_int, 0, "base seed for all randomness"),
     "out": (str, "out", "output directory"),
-    "threads": (_parse_int, 1, "worker threads for sweeps"),
+    "threads": (_parse_int, 1, "accepted for compatibility; no effect"),
     "trials": (_parse_int, 10000, "Monte Carlo trials per point"),
-    "batch_size": (_parse_int, montecarlo.TrialPlan.batch_size,
-                   "Monte Carlo trials per block (memory only; no result "
-                   "depends on it)"),
     "cells": (_parse_int, 4, "number of cells L"),
     "users": (_parse_int, 10, "users per cell K"),
     "n_list": (_parse_int_list, (20,), "antenna counts to sweep"),
@@ -140,45 +137,49 @@ def serialize_config(cfg):
     return "\n".join(lines) + "\n"
 
 
+# key -> open interval that each of its values must lie in
+_OPEN_RANGES = {"threads": (0, inf), "trials": (0, inf), "users": (0, inf),
+                "cells": (0, inf), "drops": (0, inf),
+                "fading_samples": (0, inf), "psk_order": (1, inf),
+                "beta_direct": (0, inf), "e_u": (0, inf),
+                "bandwidth_hz": (0, inf), "path_loss_exponent": (2, inf),
+                "cross_gain_list": (0, inf), "kappa_list": (1, inf),
+                "eta_list": (0, 1), "r_inf_list": (0, inf)}
+
+
 def resolve_config(file_values=None, overrides=None):
     merged = {k: spec[1] for k, spec in CONFIG_KEYS.items()}
     merged.update(file_values or {})
     merged.update(overrides or {})
     errors = []
-    for key, low in (("threads", 1), ("trials", 1), ("users", 1),
-                     ("cells", 1), ("batch_size", 1), ("drops", 1),
-                     ("fading_samples", 1), ("psk_order", 2)):
-        if merged[key] < low:
-            errors.append(f"{key} must be >= {low}")
     for key, bound in (("user_index", "users"), ("cell_index", "cells")):
         if not 0 <= merged[key] < merged[bound]:
             errors.append(f"{key} must lie in [0, {bound}), "
                           f"got {merged[key]}")
-    for key in ("beta_direct", "e_u"):
-        if not merged[key] > 0:
-            errors.append(f"{key} must be positive, got {merged[key]}")
-    for key in ("n_list", "snr_db_list", "cross_gain_list", "gamma_th_list",
-                "kappa_list", "eta_list", "r_inf_list", "reuse_list"):
-        if not merged[key]:
+    for key, (parser, _, _) in CONFIG_KEYS.items():
+        value = merged[key]
+        if parser in (_parse_int_list, _parse_float_list) and not value:
             errors.append(f"{key} must not be empty")
-        elif any(not math.isfinite(float(v)) for v in merged[key]):
-            errors.append(f"{key} must contain finite values")
+        elif (parser in (float, _parse_float_list)
+              and not np.isfinite(value).all()):
+            errors.append(f"{key} must be finite, got {value}")
+    for key, (low, high) in _OPEN_RANGES.items():
+        value = merged[key]
+        for v in value if isinstance(value, tuple) else (value,):
+            if not low < v < high:
+                errors.append(f"{key} must lie in ({low}, {high}), got {v}")
+    if not (0 < merged["exclusion_radius"] < merged["cell_radius"]
+            < merged["interference_horizon"]):
+        errors.append("need 0 < exclusion_radius < cell_radius < "
+                      "interference_horizon")
+    if not merged["shadow_sigma_db"] >= 0:
+        errors.append("shadow_sigma_db must be >= 0")
+    if not 0 < merged["useful_duration_s"] <= merged["symbol_duration_s"]:
+        errors.append("need 0 < useful_duration_s <= symbol_duration_s")
     for n in merged["n_list"]:
         if n < merged["users"]:
             errors.append(f"antennas {n} below users {merged['users']} "
                           f"(zero-forcing needs N >= K)")
-    for a in merged["cross_gain_list"]:
-        if a <= 0:
-            errors.append(f"cross gain must be positive, got {a}")
-    for kappa in merged["kappa_list"]:
-        if kappa <= 1:
-            errors.append(f"kappa must exceed 1, got {kappa}")
-    for eta in merged["eta_list"]:
-        if not 0 < eta < 1:
-            errors.append(f"eta must lie in (0, 1), got {eta}")
-    for r_inf in merged["r_inf_list"]:
-        if r_inf <= 0:
-            errors.append(f"ultimate rate must be positive, got {r_inf}")
     for r in merged["reuse_list"]:
         if r not in (1, 3, 7):
             errors.append(f"reuse factor must be 1, 3, or 7, got {r}")
@@ -218,10 +219,9 @@ def _format_column(values):
     return map(_fmt, values)
 
 
-# execution details that do not affect results; kept out of CSV headers so
-# re-runs with different parallelism, block sizes or output paths stay
-# byte-identical
-_NON_RESULT_KEYS = ("threads", "out", "batch_size")
+# keys that do not affect results; kept out of CSV headers so re-runs with
+# a different `threads` or output path stay byte-identical
+_NON_RESULT_KEYS = ("threads", "out")
 
 
 def _write_csv(path, cfg, mode, names, columns):
@@ -328,8 +328,7 @@ def _montecarlo_point(cfg, quality, index, point):
     sc, fad, expansion = _system(cfg, n, a, _db_to_linear(snr_db))
     k, l, metric = cfg["user_index"], cfg["cell_index"], cfg["mc_metric"]
     plan = montecarlo.TrialPlan(cfg["trials"],
-                                base_seed=_point_seed(cfg["seed"], index),
-                                batch_size=cfg["batch_size"])
+                                base_seed=_point_seed(cfg["seed"], index))
     if metric == "rate":
         est = montecarlo.estimate_rate(sc, fad, plan, home_cell=l)
         ref = closedform.rate_exact(sc, fad, expansion, k, l,
@@ -438,12 +437,7 @@ def _sweep(mode, cfg, quality, stem):
                           f"(output {stem}); unset it for this mode")
     axes, columns, point_fn = _SWEEPS[mode]
     points = _grid(cfg, axes)
-    work = partial(point_fn, cfg, quality)
-    if cfg["threads"] <= 1 or len(points) <= 1:
-        chunks = list(map(work, range(len(points)), points))
-    else:
-        with ThreadPoolExecutor(max_workers=cfg["threads"]) as pool:
-            chunks = list(pool.map(work, range(len(points)), points))
+    chunks = map(partial(point_fn, cfg, quality), range(len(points)), points)
     rows = [row for chunk in chunks for row in chunk]
     out_dir = cfg["out"]
     extra = []
@@ -544,7 +538,8 @@ def _build_parser():
         p.add_argument("--seed", type=_parse_int, default=None)
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument("--threads", type=int, default=None,
+                       help="accepted for compatibility; no effect")
         p.add_argument("--set", action="append", default=[],
                        metavar="KEY=VALUE",
                        help="override any config key (repeatable)")

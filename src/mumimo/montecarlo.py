@@ -5,11 +5,11 @@ outage empirically.
 Determinism contract: the randomness of trial t is a pure function of
 (base_seed, t) through a counter-based Philox key, so results are
 bit-identical no matter how trials are chunked or threaded; reductions are
-merge-only (sums, counts).  `sinr_trials` runs its blocks of
-`TrialPlan.batch_size` trials on a thread pool sized to the CPUs this
-process may use (numpy's normal fills, `matmul` and `inv` release the
-interpreter lock) and yields them in trial order, so neither the block
-size nor the thread count changes a draw or a result.
+merge-only (sums, counts).  Every estimate runs through one block map:
+blocks of `_BLOCK` trials on a thread pool sized to the CPUs this process
+may use (numpy's normal fills, `matmul`, `inv` and `lstsq` release the
+interpreter lock), yielded in trial order, so neither the block size nor
+the thread count changes a draw or a result.  Neither is a setting.
 """
 
 import math
@@ -36,8 +36,11 @@ __all__ = [
 
 _COND_GATE = 1e14
 
+# trials per block: sets the memory of one block (32 trials at N = 100 is
+# 2 MB of channels), never a result
+_BLOCK = 32
 
-# threads of the `sinr_trials` block pool: the CPUs this process may use
+# threads of the block pool: the CPUs this process may use
 try:
     _WORKERS = len(os.sched_getaffinity(0))
 except AttributeError:  # no affinity masks on this platform
@@ -66,20 +69,14 @@ class ChannelRealization:
 
 @dataclass(frozen=True)
 class TrialPlan:
-    """How many trials, from which seed, processed in blocks of how many.
-
-    The block size is an execution detail: it sets the memory of one block
-    (32 trials at N = 100 is 2 MB of channels), never a result."""
+    """How many trials, from which seed."""
 
     num_trials: int
     base_seed: int = 0
-    batch_size: int = 32
 
     def __post_init__(self):
         if self.num_trials < 1:
             raise ValueError("num_trials must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
 
 
 def trial_rng(base_seed, trial):
@@ -196,32 +193,58 @@ def zf_sinr(realization, p_u):
     return out[0]
 
 
-def _sinr_block(config, fading, plan, home_cell, start):
-    """SINRs of trials start .. start + batch_size - 1 (fewer at the end),
-    each drawn from its own re-keyed stream; shape (T_block, K)."""
+def _map_blocks(block, num_trials):
+    """Yield block(trials) over consecutive ranges of `_BLOCK` trials, in
+    order, run on `_WORKERS` threads; closing the generator cancels the
+    blocks not yet started and waits for the running ones."""
+    # imported here, so that programs that never sample do not pay for it
+    from concurrent.futures import ThreadPoolExecutor
+    blocks = [range(start, min(start + _BLOCK, num_trials))
+              for start in range(0, num_trials, _BLOCK)]
+    with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
+        yield from pool.map(block, blocks)
+
+
+def _sinr_block(config, fading, base_seed, home_cell, trials):
+    """SINRs of the given trials, each drawn from its own re-keyed stream;
+    shape (len(trials), K)."""
     cells, n, k = config.num_cells, config.antennas, config.users_per_cell
-    count = min(plan.batch_size, plan.num_trials - start)
-    rng = trial_rng(plan.base_seed, start)
-    g = np.empty((count, cells, n, k), dtype=complex)
-    for j in range(count):
-        _draw_cn(_rekey(rng, plan.base_seed, start + j), g[j])
+    rng = trial_rng(base_seed, trials.start)
+    g = np.empty((len(trials), cells, n, k), dtype=complex)
+    for j, t in enumerate(trials):
+        _draw_cn(_rekey(rng, base_seed, t), g[j])
     g *= np.sqrt(fading.beta[home_cell][None, :, None, :])
     return _zf_sinr_batch(g, home_cell, config.transmit_snr)
 
 
-def sinr_trials(config, fading, plan, home_cell=0):
-    """Yield (T_block, K) SINR arrays over the plan's trials, in order.
+def _symbol_error_block(config, fading, modulation, base_seed, home_cell,
+                        trials):
+    """Symbol error rate of each given trial: uniform M-PSK symbols from
+    every user through the ZF front end, nearest-phase detection."""
+    m = modulation.psk_order
+    n, k = config.antennas, config.users_per_cell
+    amplitude = math.sqrt(config.transmit_snr)
+    rng = trial_rng(base_seed, trials.start)
+    errors = np.empty(len(trials))
+    for j, t in enumerate(trials):
+        _rekey(rng, base_seed, t)
+        g = sample_channels(config, fading, home_cell, rng).g
+        symbols = rng.integers(0, m, size=(config.num_cells, k))
+        x = np.exp(2j * math.pi * symbols / m)
+        noise = _draw_cn(rng, np.empty(n, dtype=complex))
+        y = amplitude * np.einsum("ink,ik->n", g, x) + noise
+        r = np.linalg.lstsq(g[home_cell], y, rcond=None)[0]
+        detected = np.round(np.angle(r) * m / (2 * math.pi)) % m
+        errors[j] = float(np.mean(detected != symbols[home_cell] % m))
+    return errors
 
-    Trial t's channels are drawn from trial_rng(base_seed, t) whichever
-    block or thread runs it.  Blocks run on `_WORKERS` threads; closing the
-    generator cancels the blocks not yet started and waits for the running
-    ones.
-    """
-    # imported here, so that programs that never sample do not pay for it
-    from concurrent.futures import ThreadPoolExecutor
-    block = partial(_sinr_block, config, fading, plan, home_cell)
-    with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
-        yield from pool.map(block, range(0, plan.num_trials, plan.batch_size))
+
+def sinr_trials(config, fading, plan, home_cell=0):
+    """Yield (T_block, K) SINR arrays over the plan's trials, in order;
+    trial t's channels come from trial_rng(base_seed, t)."""
+    return _map_blocks(
+        partial(_sinr_block, config, fading, plan.base_seed, home_cell),
+        plan.num_trials)
 
 
 @dataclass(frozen=True)
@@ -234,12 +257,22 @@ class Estimate:
         return abs(self.value - reference) <= num_sigma * self.std_error
 
 
-def _reduce_trial_means(per_trial):
-    values = np.concatenate(per_trial)
-    mean = float(values.mean())
+def _estimate(block, plan):
+    """Mean and standard error of the per-trial values that `block` returns
+    for each block of the plan's trials."""
+    values = np.concatenate(list(_map_blocks(block, plan.num_trials)))
     se = float(values.std(ddof=1) / math.sqrt(values.size)) \
         if values.size > 1 else math.inf
-    return mean, se, values.size
+    return Estimate(float(values.mean()), se, values.size)
+
+
+def _sinr_estimate(config, fading, plan, home_cell, per_user, user=None):
+    """_estimate of per_user(gamma), a (T, K) map of a block's SINRs, taken
+    for one user or averaged over each trial's users."""
+    sinr = partial(_sinr_block, config, fading, plan.base_seed, home_cell)
+    pick = ((lambda v: v.mean(axis=1)) if user is None
+            else (lambda v: v[:, user].astype(float)))
+    return _estimate(lambda trials: pick(per_user(sinr(trials))), plan)
 
 
 def estimate_rate(config, fading, plan, home_cell=0, user=None):
@@ -248,13 +281,8 @@ def estimate_rate(config, fading, plan, home_cell=0, user=None):
     The user average within one trial shares a channel draw, so the
     standard error is computed over per-trial means.
     """
-    per_trial = []
-    for gam in sinr_trials(config, fading, plan, home_cell):
-        rates = np.log2(1.0 + gam)
-        per_trial.append(rates[:, user] if user is not None
-                         else rates.mean(axis=1))
-    mean, se, count = _reduce_trial_means(per_trial)
-    return Estimate(mean, se, count)
+    return _sinr_estimate(config, fading, plan, home_cell,
+                          lambda gam: np.log2(1.0 + gam), user)
 
 
 def _conditional_psk_ser(gamma, modulation):
@@ -275,50 +303,21 @@ def estimate_ser(config, fading, modulation, plan, home_cell=0,
     nearest-phase detection and counts errors.
     """
     if mode == "semi_analytic":
-        per_trial = []
-        for gam in sinr_trials(config, fading, plan, home_cell):
-            per_trial.append(
-                _conditional_psk_ser(gam, modulation).mean(axis=1))
-        mean, se, count = _reduce_trial_means(per_trial)
-        return Estimate(mean, se, count)
+        return _sinr_estimate(config, fading, plan, home_cell,
+                              partial(_conditional_psk_ser,
+                                      modulation=modulation))
     if mode != "symbol":
         raise ValueError("mode must be 'semi_analytic' or 'symbol'")
-    m = modulation.psk_order
-    cells, n, k = config.num_cells, config.antennas, config.users_per_cell
-    p_u = config.transmit_snr
-    rng = trial_rng(plan.base_seed, 0)
-    per_trial = []
-    done = 0
-    while done < plan.num_trials:
-        count = min(plan.batch_size, plan.num_trials - done)
-        errors = np.empty(count)
-        for j in range(count):
-            _rekey(rng, plan.base_seed, done + j)
-            g = sample_channels(config, fading, home_cell, rng).g
-            symbols = rng.integers(0, m, size=(cells, k))
-            x = np.exp(2j * math.pi * symbols / m)
-            noise = _draw_cn(rng, np.empty(n, dtype=complex))
-            y = math.sqrt(p_u) * np.einsum("ink,ik->n", g, x) + noise
-            r = np.linalg.lstsq(g[home_cell], y, rcond=None)[0]
-            detected = np.round(np.angle(r) * m / (2 * math.pi)) % m
-            errors[j] = float(np.mean(detected != symbols[home_cell] % m))
-        per_trial.append(errors)
-        done += count
-    mean, se, count = _reduce_trial_means(per_trial)
-    return Estimate(mean, se, count)
+    return _estimate(partial(_symbol_error_block, config, fading, modulation,
+                             plan.base_seed, home_cell), plan)
 
 
 def estimate_outage(config, fading, plan, gamma_th, home_cell=0, user=None):
     """Empirical P{gamma_k <= gamma_th}; pools users unless one is given."""
     if gamma_th < 0:
         raise ValueError("gamma_th must be >= 0")
-    per_trial = []
-    for gam in sinr_trials(config, fading, plan, home_cell):
-        hits = (gam <= gamma_th)
-        per_trial.append(hits[:, user].astype(float) if user is not None
-                         else hits.mean(axis=1))
-    mean, se, count = _reduce_trial_means(per_trial)
-    return Estimate(mean, se, count)
+    return _sinr_estimate(config, fading, plan, home_cell,
+                          lambda gam: gam <= gamma_th, user)
 
 
 # ---------------------------------------------------------------------------

@@ -73,8 +73,7 @@ def test_criterion_02_rate_vs_oracles():
         cfg, fad, exp = scenario1(n, a, p_u=10 ** (snr_db / 10))
         exact = cf.rate_exact(cfg, fad, exp, 0, 0).value
         est = mc.estimate_rate(
-            cfg, fad, mc.TrialPlan(10_000, base_seed=2000 + idx,
-                                   batch_size=1000))
+            cfg, fad, mc.TrialPlan(10_000, base_seed=2000 + idx))
         sig = abs(est.value - exact) / est.std_error
         checks.append((f"MC N={n} a={a} {snr_db}dB", sig <= 2.0,
                        f"{sig:.2f} standard errors"))
@@ -105,7 +104,7 @@ def test_criterion_03_sinr_model_ks():
                     beta[l, i, :] = 10 ** rng.uniform(-2, -0.5, size=k)
         cfg = SystemConfig(cells, k, n, p_u)
         fad = LargeScaleFading(beta)
-        plan = mc.TrialPlan(n_samp, base_seed=500 + trial, batch_size=4096)
+        plan = mc.TrialPlan(n_samp, base_seed=500 + trial)
         matrix = np.concatenate([g[:, 0]
                                  for g in mc.sinr_trials(cfg, fad, plan)])
         model = sd.make_sinr_model(cfg, fad, 0, 0)
@@ -213,8 +212,7 @@ def test_criterion_07_power_scaling():
     checks = []
     cfg = SystemConfig(4, 10, 500, 10.0 / 500)
     fad = symmetric_fading(4, 10, 1.0, 0.1)
-    est = mc.estimate_rate(cfg, fad, mc.TrialPlan(1000, base_seed=70,
-                                                  batch_size=100))
+    est = mc.estimate_rate(cfg, fad, mc.TrialPlan(1000, base_seed=70))
     dev = abs(est.value - math.log2(11.0)) / math.log2(11.0)
     checks.append(("MC rate at N=500, p_u=10/N", dev < 0.05,
                    f"{est.value:.4f} vs {math.log2(11.0):.4f} "
@@ -236,7 +234,7 @@ def test_criterion_08_deterministic_equivalent():
         cfg = SystemConfig(4, k, n, 10.0)
         fad = symmetric_fading(4, k, 1.0, 0.1)
         bar = asym.deterministic_sir(fad, 0, 0, float(kappa))
-        plan = mc.TrialPlan(1000, base_seed=80 + n, batch_size=200)
+        plan = mc.TrialPlan(1000, base_seed=80 + n)
         gam = np.concatenate([g.ravel()
                               for g in mc.sinr_trials(cfg, fad, plan)])
         means[n] = float(np.abs(gam / bar - 1.0).mean())

@@ -29,6 +29,29 @@ def test_scenario_rejects_a_transmit_snr_that_is_not_positive_and_finite(
         cn.NetworkScenario(transmit_snr=p_u)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("cell_radius", math.nan), ("exclusion_radius", math.nan),
+    ("interference_horizon", math.inf), ("interference_horizon", math.nan),
+    ("path_loss_exponent", math.inf), ("path_loss_exponent", math.nan),
+    ("shadow_sigma_db", math.nan), ("shadow_sigma_db", math.inf),
+    ("shadow_sigma_db", -1.0)])
+def test_scenario_rejects_non_finite_geometry_and_shadowing(field, value):
+    # unchecked, an infinite horizon overflowed the grid build and a NaN
+    # shadowing spread gave NaN rates
+    with pytest.raises(ValueError):
+        cn.NetworkScenario(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("bandwidth", 0.0), ("bandwidth", -1.0), ("bandwidth", math.inf),
+    ("bandwidth", math.nan), ("symbol_duration", math.inf),
+    ("symbol_duration", math.nan), ("useful_duration", math.nan)])
+def test_ofdm_rejects_non_finite_or_non_positive_values(field, value):
+    # unchecked, a bandwidth of -1 gave negative rates
+    with pytest.raises(ValueError):
+        cn.OfdmParams(**{field: value})
+
+
 def test_ofdm_overhead_value():
     np.testing.assert_allclose(cn.OfdmParams().overhead, 66.7 / 71.4,
                                rtol=1e-12)

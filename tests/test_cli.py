@@ -10,7 +10,6 @@ from mumimo.closedform import (ModulationScheme, outage_exact, rate_exact,
                                ser_exact)
 from mumimo.fading import (SystemConfig, build_profile,
                            characteristic_coefficients, symmetric_fading)
-from mumimo.montecarlo import TrialPlan
 from test_closedform import BREAKDOWN_GAINS, profile_system
 
 
@@ -55,17 +54,23 @@ def test_resolve_collects_all_violations(tmp_path):
     with pytest.raises(cli.ConfigError) as err:
         cli.resolve_config({"n_list": (5,), "users": 10,
                             "mc_metric": "nope", "reuse_list": (2,),
-                            "psk_order": 1, "batch_size": 0, "drops": 0,
+                            "psk_order": 1, "drops": 0,
                             "fading_samples": 0, "user_index": -1,
                             "cell_index": 4, "beta_direct": 0.0,
                             "e_u": -1.0, "kappa_list": (2.0, 1.0),
                             "eta_list": (0.5, 1.0), "r_inf_list": (0.0,),
-                            "fading_file": str(beta)})
+                            "fading_file": str(beta), "cell_radius": 50.0,
+                            "path_loss_exponent": 2.0,
+                            "shadow_sigma_db": -1.0, "bandwidth_hz": 0.0,
+                            "useful_duration_s": 1e-3})
     text = str(err.value)
     assert "zero-forcing" in text and "mc_metric" in text and "reuse" in text
-    for word in ("psk_order", "batch_size", "drops", "fading_samples",
+    for word in ("psk_order", "drops", "fading_samples",
                  "user_index", "cell_index", "beta_direct", "e_u", "kappa",
-                 "eta", "ultimate rate", "fading_file has L, K = 2, 3"):
+                 "eta", "r_inf_list", "fading_file has L, K = 2, 3",
+                 "exclusion_radius < cell_radius", "path_loss_exponent",
+                 "shadow_sigma_db", "bandwidth_hz",
+                 "useful_duration_s <= symbol_duration_s"):
         assert word in text
     (tmp_path / "bad.txt").write_text("2 3\n0 0 1 1 1\n")
     with pytest.raises(cli.ConfigError, match="bad fading_file"):
@@ -139,19 +144,6 @@ def test_byte_identical_across_threads_and_reruns(tmp_path):
     assert outs[0] == outs[1] == outs[2]
 
 
-def test_batch_size_is_an_execution_detail(tmp_path):
-    assert cli.CONFIG_KEYS["batch_size"][1] == TrialPlan.batch_size
-    args = ["montecarlo", "--seed", "7", "--trials", "100",
-            "--set", "n_list=12", "--set", "users=4"]
-    outs = []
-    for name, batch in (("a", []), ("b", ["--set", "batch_size=7"])):
-        out = tmp_path / name
-        assert cli.main(args + batch + ["--out", str(out)]) == 0
-        outs.append((out / "montecarlo.csv").read_bytes())
-    assert outs[0] == outs[1]
-    assert b"batch_size" not in outs[0]
-
-
 def test_csv_columns_format_like_single_cells(tmp_path):
     values = np.array([0.1, 1 / 3, 2.0 ** 60, 5e-324, -0.0, 123456789.125])
     rows = [("a", 3, 1.5, np.float64(0.2), v) for v in values]
@@ -170,6 +162,40 @@ def test_exit_code_2_on_bad_config(tmp_path, capsys):
     bad.write_text("n_list = 5\nusers = 10\n")
     assert cli.main(["rate", "--config", str(bad)]) == 2
     assert cli.main(["rate", "--config", str(tmp_path / "missing.cfg")]) == 2
+    capsys.readouterr()
+    old = tmp_path / "old.cfg"
+    old.write_text("batch_size = 8\n")
+    assert cli.main(["ser", "--config", str(old)]) == 2
+    assert "unknown key 'batch_size'" in capsys.readouterr().err
+
+
+FLOAT_KEYS = [key for key, (parser, _, _) in cli.CONFIG_KEYS.items()
+              if parser in (float, cli._parse_float_list)]
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_every_float_key_must_be_finite(key, text):
+    with pytest.raises(cli.ConfigError, match=key):
+        cli.resolve_config(overrides={key: cli.CONFIG_KEYS[key][0](text)})
+
+
+@pytest.mark.parametrize("mode, setting", [
+    ("asymptotic", "e_u=inf"),
+    ("rate", "beta_direct=inf"),
+    ("scenario2", "shadow_sigma_db=nan"),
+    ("scenario2", "bandwidth_hz=-1"),
+    ("scenario2", "interference_horizon=inf"),
+    ("scenario2", "cell_radius=nan"),
+])
+def test_bad_float_values_exit_2_before_any_csv(tmp_path, capsys, mode,
+                                                setting):
+    # unchecked, these wrote NaN or negative columns or raised a traceback
+    out = tmp_path / "o"
+    assert cli.main([mode, "--out", str(out), "--set", setting]) == 2
+    err = capsys.readouterr().err
+    assert setting.partition("=")[0] in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_exit_code_3_on_cancellation_guard(tmp_path):

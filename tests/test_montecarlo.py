@@ -74,20 +74,23 @@ def test_rank_deficient_channel_raises():
         mc.zf_sinr(mc.ChannelRealization(0, g), 1.0)
 
 
-def test_results_independent_of_chunk_schedule():
+def test_results_independent_of_chunk_schedule(monkeypatch):
     cfg, fad = scenario1(n=12, k=4, cells=2)
-    a = np.concatenate(list(mc.sinr_trials(
-        cfg, fad, mc.TrialPlan(60, base_seed=5, batch_size=7))))
-    b = np.concatenate(list(mc.sinr_trials(
-        cfg, fad, mc.TrialPlan(60, base_seed=5, batch_size=60))))
-    assert np.array_equal(a, b)
+    rows = []
+    for block in (7, 60):
+        monkeypatch.setattr(mc, "_BLOCK", block)
+        rows.append(np.concatenate(list(mc.sinr_trials(
+            cfg, fad, mc.TrialPlan(60, base_seed=5)))))
+    assert np.array_equal(rows[0], rows[1])
 
 
 def _all_estimates(cfg, fad, plan, gamma_th):
     rows = np.concatenate(list(mc.sinr_trials(cfg, fad, plan)))
+    qpsk = cf.ModulationScheme(4)
     return (rows, mc.estimate_rate(cfg, fad, plan),
-            mc.estimate_ser(cfg, fad, cf.ModulationScheme(4), plan),
-            mc.estimate_outage(cfg, fad, plan, gamma_th))
+            mc.estimate_ser(cfg, fad, qpsk, plan),
+            mc.estimate_outage(cfg, fad, plan, gamma_th),
+            mc.estimate_ser(cfg, fad, qpsk, plan, mode="symbol"))
 
 
 @pytest.mark.parametrize("n, gamma_th", [(20, 2.0), (100, 28.0)])
@@ -97,9 +100,10 @@ def test_results_independent_of_threads_and_block_size(monkeypatch, n,
     want = None
     for workers in (1, 2, 3):
         monkeypatch.setattr(mc, "_WORKERS", workers)
-        for batch in (7, 32, 512):
-            got = _all_estimates(cfg, fad, mc.TrialPlan(
-                150, base_seed=31, batch_size=batch), gamma_th)
+        for block in (7, 32, 512):
+            monkeypatch.setattr(mc, "_BLOCK", block)
+            got = _all_estimates(cfg, fad, mc.TrialPlan(150, base_seed=31),
+                                 gamma_th)
             if want is None:
                 want = got
             assert np.array_equal(got[0], want[0])
@@ -107,20 +111,24 @@ def test_results_independent_of_threads_and_block_size(monkeypatch, n,
 
 
 # the estimates of the sequential 512-trial chunks that came before the
-# block pool, which must not move
+# block pool, which must not move; the symbol-counting SER (last) is that
+# of its own serial trial loop, before it moved onto the block map
 PINNED_ESTIMATES = {
     20: ("Estimate(value=2.162486500061064, std_error=0.0065896273590413685,"
          " num_trials=600)",
          "Estimate(value=0.07162838977401365, std_error=0.0008213827560437436,"
          " num_trials=600)",
          "Estimate(value=0.07083333333333333, std_error=0.003847244362615902,"
-         " num_trials=600)"),
+         " num_trials=600)",
+         "Estimate(value=0.06849999999999999,"
+         " std_error=0.0035755032801239274, num_trials=600)"),
     100: ("Estimate(value=4.936603508121262, std_error=0.0060022618566274305,"
           " num_trials=200)",
           "Estimate(value=9.939187028987039e-07,"
           " std_error=1.6509452231319355e-07, num_trials=200)",
           "Estimate(value=0.38400000000000006,"
-          " std_error=0.010690718277385863, num_trials=200)"),
+          " std_error=0.010690718277385863, num_trials=200)",
+          "Estimate(value=0.0, std_error=0.0, num_trials=200)"),
 }
 
 
@@ -135,18 +143,20 @@ def test_estimates_pinned_at_scenario_1(n, trials, gamma_th):
 
 def test_closing_sinr_trials_early_stops_its_threads(monkeypatch):
     monkeypatch.setattr(mc, "_WORKERS", 2)
+    monkeypatch.setattr(mc, "_BLOCK", 8)
     cfg, fad = scenario1(n=12, k=4, cells=2)
     before = threading.active_count()
-    trials = mc.sinr_trials(cfg, fad, mc.TrialPlan(640, batch_size=8))
+    trials = mc.sinr_trials(cfg, fad, mc.TrialPlan(640))
     assert next(trials).shape == (8, 4)
     trials.close()
     assert threading.active_count() == before
 
 
-def test_sinr_trial_rows_are_single_realizations():
+def test_sinr_trial_rows_are_single_realizations(monkeypatch):
+    monkeypatch.setattr(mc, "_BLOCK", 4)
     cfg, fad = scenario1(n=12, k=4, cells=3)
     rows = np.concatenate(list(mc.sinr_trials(
-        cfg, fad, mc.TrialPlan(9, base_seed=21, batch_size=4))))
+        cfg, fad, mc.TrialPlan(9, base_seed=21))))
     for t, row in enumerate(rows):
         one = mc.sample_channels(cfg, fad, 0, mc.trial_rng(21, t))
         assert np.array_equal(row, mc.zf_sinr(one, cfg.transmit_snr))
@@ -214,7 +224,7 @@ def test_zf_batch_matches_einsum_formula(cells):
 
 def test_matrix_sinr_matches_model_distribution():
     cfg, fad = scenario1()
-    plan = mc.TrialPlan(10_000, base_seed=11, batch_size=1000)
+    plan = mc.TrialPlan(10_000, base_seed=11)
     matrix = np.concatenate([g[:, 0] for g in mc.sinr_trials(cfg, fad, plan)])
     model = sd.make_sinr_model(cfg, fad, 0, 0)
     direct = sd.sample_sinr(model, np.random.default_rng(123), size=10_000)
@@ -224,7 +234,7 @@ def test_matrix_sinr_matches_model_distribution():
 
 def test_mean_sinr_matches_model_sampling():
     cfg, fad = scenario1()
-    plan = mc.TrialPlan(20_000, base_seed=17, batch_size=2000)
+    plan = mc.TrialPlan(20_000, base_seed=17)
     matrix = np.concatenate([g.ravel()
                              for g in mc.sinr_trials(cfg, fad, plan)])
     model = sd.make_sinr_model(cfg, fad, 0, 0)
@@ -237,8 +247,7 @@ def test_estimate_rate_matches_closed_form():
     exp = characteristic_coefficients(build_profile(cfg, fad, 0))
     exact = cf.rate_exact(cfg, fad, exp, 0, 0).value
     est = mc.estimate_rate(cfg, fad,
-                           mc.TrialPlan(10_000, base_seed=2,
-                                        batch_size=1000))
+                           mc.TrialPlan(10_000, base_seed=2))
     assert est.agrees_with(exact, num_sigma=3.0)
 
 
@@ -249,8 +258,7 @@ def test_estimate_rate_single_cell_vs_quadrature():
     from mumimo.specfun import expint_en_scaled
     want = expint_en_scaled(1, 1.0 / 5.0) / math.log(2.0)
     est = mc.estimate_rate(cfg, fad,
-                           mc.TrialPlan(20_000, base_seed=6,
-                                        batch_size=2000))
+                           mc.TrialPlan(20_000, base_seed=6))
     assert est.agrees_with(want, num_sigma=3.0)
 
 
@@ -259,15 +267,14 @@ def test_estimate_rate_small_power_first_order():
     p_u = 1e-4
     cfg = SystemConfig(2, 3, 8, p_u)
     fad = symmetric_fading(2, 3, 1.0, 0.1)
-    est = mc.estimate_rate(cfg, fad, mc.TrialPlan(4000, base_seed=13,
-                                                  batch_size=1000))
+    est = mc.estimate_rate(cfg, fad, mc.TrialPlan(4000, base_seed=13))
     first_order = p_u * 6 * 1.0 / math.log(2.0)  # E X = (N-K+1) beta
     assert abs(est.value / first_order - 1.0) < 0.02
 
 
 def test_estimate_outage_monotone_in_threshold():
     cfg, fad = scenario1(n=12, k=4, cells=2)
-    plan = mc.TrialPlan(3000, base_seed=19, batch_size=1000)
+    plan = mc.TrialPlan(3000, base_seed=19)
     vals = [mc.estimate_outage(cfg, fad, plan, gth).value
             for gth in (1.0, 3.0, 9.0)]
     assert vals[0] <= vals[1] <= vals[2]
@@ -279,14 +286,14 @@ def test_estimate_ser_semi_analytic_vs_closed_form():
     mod = cf.ModulationScheme(4)
     ser = cf.ser_exact(cfg, fad, exp, mod, 0, 0)
     est = mc.estimate_ser(cfg, fad, mod,
-                          mc.TrialPlan(10_000, base_seed=3, batch_size=1000))
+                          mc.TrialPlan(10_000, base_seed=3))
     assert abs(est.value - ser) / ser < 0.02
 
 
 def test_symbol_mode_agrees_with_semi_analytic():
     cfg, fad = scenario1()
     mod = cf.ModulationScheme(4)
-    plan = mc.TrialPlan(4000, base_seed=3, batch_size=500)
+    plan = mc.TrialPlan(4000, base_seed=3)
     semi = mc.estimate_ser(cfg, fad, mod, plan)
     sym = mc.estimate_ser(cfg, fad, mod, plan, mode="symbol")
     sigma = math.hypot(semi.std_error, sym.std_error)
@@ -316,8 +323,7 @@ def test_estimate_outage_matches_closed_form():
     exp = characteristic_coefficients(build_profile(cfg, fad, 0))
     want = cf.outage_exact(cfg, fad, exp, 0, 0, 3.0)
     est = mc.estimate_outage(cfg, fad,
-                             mc.TrialPlan(10_000, base_seed=4,
-                                          batch_size=1000), 3.0)
+                             mc.TrialPlan(10_000, base_seed=4), 3.0)
     assert abs(est.value - want) < 0.01
     zero = mc.estimate_outage(cfg, fad,
                               mc.TrialPlan(200, base_seed=4), 0.0)
@@ -327,10 +333,8 @@ def test_estimate_outage_matches_closed_form():
 def test_standard_error_scaling():
     # quadrupling the trials roughly halves the standard error
     cfg, fad = scenario1(n=12, k=4, cells=2)
-    small = mc.estimate_rate(cfg, fad, mc.TrialPlan(2000, base_seed=9,
-                                                    batch_size=500))
-    large = mc.estimate_rate(cfg, fad, mc.TrialPlan(8000, base_seed=9,
-                                                    batch_size=500))
+    small = mc.estimate_rate(cfg, fad, mc.TrialPlan(2000, base_seed=9))
+    large = mc.estimate_rate(cfg, fad, mc.TrialPlan(8000, base_seed=9))
     ratio = small.std_error / large.std_error
     assert 1.6 < ratio < 2.5
 
