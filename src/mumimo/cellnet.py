@@ -26,6 +26,11 @@ __all__ = [
 # reuse factor -> (i, j) with r = i^2 + i j + j^2
 _REUSE_SHIFTS = {1: (1, 0), 3: (1, 1), 7: (2, 1)}
 
+# sample rows per block of uniforms in `net_rate_samples`: sets the memory
+# of one block (256 rows of a reuse-1 drop's 840 co-channel users is
+# 1.7 MB), never a result
+_ROWS = 256
+
 
 @dataclass(frozen=True)
 class NetworkScenario:
@@ -193,6 +198,9 @@ def net_rate_samples(scenario, ofdm, drop, rng, samples=1, user=None):
     large-scale gains: X Erlang(N-K+1, beta_k), Z the sum of one exponential
     per co-channel user.  Z is shared across the home users of one sample
     (it has the same law for each; only the marginal matters here).
+    The uniforms are drawn and reduced `_ROWS` sample rows at a time, so
+    memory holds one block of them; the draws and the values do not depend
+    on the block size.
     Returns shape (samples, K) or (samples,) when a user index is given.
     """
     r = scenario.reuse_factor
@@ -201,19 +209,25 @@ def net_rate_samples(scenario, ofdm, drop, rng, samples=1, user=None):
     users = ([user] if user is not None
              else list(range(scenario.users_per_cell)))
     beta_d = drop.beta_home[0, users]
-    # logs and products in place and the sign after the sum: the same bits
-    # as summing -log(u) (rounding is symmetric in sign), with no full-size
-    # temporaries besides the uniforms
-    u = rng.random((samples, len(users), nu))
-    x = np.log(u, out=u).sum(axis=2) * -beta_d
     cross = drop.beta_home[1:].ravel()
-    if cross.size:
-        v = rng.random((samples, cross.size))
+    # Generator.random fills in C order, so consecutive row blocks continue
+    # one stream: every X uniform comes before every Z uniform, as in one
+    # (samples, K, nu) draw followed by one (samples, C) draw.  Logs and
+    # products run in place and the sign comes after the sum: the same bits
+    # as summing -log(u) over each row (rounding is symmetric in sign).
+    # A drop with no co-channel users draws no Z uniforms and gets Z = -0.
+    blocks = [slice(lo, min(lo + _ROWS, samples))
+              for lo in range(0, samples, _ROWS)]
+    x = np.empty((samples, len(users)))
+    for rows in blocks:
+        u = rng.random((rows.stop - rows.start, len(users), nu))
+        x[rows] = np.log(u, out=u).sum(axis=2) * -beta_d
+    z = np.empty(samples)
+    for rows in blocks:
+        v = rng.random((rows.stop - rows.start, cross.size))
         np.log(v, out=v)
         v *= cross
-        z = -v.sum(axis=1)
-    else:
-        z = np.zeros(samples)
+        z[rows] = -v.sum(axis=1)
     gamma = p_u * x / (p_u * z[:, None] + 1.0 / r)
     rate = (ofdm.bandwidth / r) * ofdm.overhead * np.log2(1.0 + gamma)
     return rate[:, 0] if user is not None else rate
@@ -246,9 +260,9 @@ def rate_distribution(scenario, ofdm, num_drops, samples_per_drop, rng):
     """Empirical net-rate distribution pooled over geometry drops,
     small-scale fading, and users."""
     grid = build_hex_grid(scenario)
-    chunks = []
-    for _ in range(num_drops):
+    rates = np.empty((num_drops, samples_per_drop, scenario.users_per_cell))
+    for drop_rates in rates:
         drop = drop_users(scenario, grid, rng)
-        chunks.append(net_rate_samples(scenario, ofdm, drop, rng,
-                                       samples=samples_per_drop).ravel())
-    return RateDistribution(np.concatenate(chunks))
+        drop_rates[...] = net_rate_samples(scenario, ofdm, drop, rng,
+                                           samples=samples_per_drop)
+    return RateDistribution(rates)

@@ -16,7 +16,7 @@ import argparse
 import os
 import sys
 from functools import partial
-from math import inf
+from math import inf, isfinite
 
 import numpy as np
 
@@ -168,6 +168,10 @@ def resolve_config(file_values=None, overrides=None):
         for v in value if isinstance(value, tuple) else (value,):
             if not low < v < high:
                 errors.append(f"{key} must lie in ({low}, {high}), got {v}")
+    for v in merged["snr_db_list"]:
+        if isfinite(v) and not 0 < _db_to_linear(v) < inf:
+            errors.append(f"snr_db_list value {v} dB must give a finite, "
+                          f"positive linear SNR")
     if not (0 < merged["exclusion_radius"] < merged["cell_radius"]
             < merged["interference_horizon"]):
         errors.append("need 0 < exclusion_radius < cell_radius < "
@@ -241,7 +245,10 @@ def _write_csv(path, cfg, mode, names, columns):
 
 
 def _db_to_linear(snr_db):
-    return 10.0 ** (snr_db / 10.0)
+    try:
+        return 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        return inf
 
 
 def _symmetric(cfg, a):
@@ -330,17 +337,19 @@ def _montecarlo_point(cfg, quality, index, point):
     plan = montecarlo.TrialPlan(cfg["trials"],
                                 base_seed=_point_seed(cfg["seed"], index))
     if metric == "rate":
-        est = montecarlo.estimate_rate(sc, fad, plan, home_cell=l)
+        est = montecarlo.estimate_rate(sc, fad, plan, home_cell=l, user=k)
         ref = closedform.rate_exact(sc, fad, expansion, k, l,
                                     quality=quality).value
     elif metric == "ser":
         modulation = ModulationScheme(cfg["psk_order"])
         est = montecarlo.estimate_ser(sc, fad, modulation, plan,
-                                      home_cell=l, mode=cfg["ser_mode"])
+                                      home_cell=l, mode=cfg["ser_mode"],
+                                      user=k)
         ref = closedform.ser_exact(sc, fad, expansion, modulation, k, l)
     else:
         gth = cfg["gamma_th_list"][0]
-        est = montecarlo.estimate_outage(sc, fad, plan, gth, home_cell=l)
+        est = montecarlo.estimate_outage(sc, fad, plan, gth, home_cell=l,
+                                         user=k)
         ref = closedform.outage_exact(sc, fad, expansion, k, l, gth)
     return [(snr_db, n, a, metric, est.value, est.std_error, est.num_trials,
              ref)]

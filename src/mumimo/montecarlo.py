@@ -218,9 +218,10 @@ def _sinr_block(config, fading, base_seed, home_cell, trials):
 
 
 def _symbol_error_block(config, fading, modulation, base_seed, home_cell,
-                        trials):
+                        trials, user=None):
     """Symbol error rate of each given trial: uniform M-PSK symbols from
-    every user through the ZF front end, nearest-phase detection."""
+    every user through the ZF front end, nearest-phase detection; the error
+    share of the home users, or 0/1 for one user when one is given."""
     m = modulation.psk_order
     n, k = config.antennas, config.users_per_cell
     amplitude = math.sqrt(config.transmit_snr)
@@ -235,7 +236,8 @@ def _symbol_error_block(config, fading, modulation, base_seed, home_cell,
         y = amplitude * np.einsum("ink,ik->n", g, x) + noise
         r = np.linalg.lstsq(g[home_cell], y, rcond=None)[0]
         detected = np.round(np.angle(r) * m / (2 * math.pi)) % m
-        errors[j] = float(np.mean(detected != symbols[home_cell] % m))
+        wrong = detected != symbols[home_cell] % m
+        errors[j] = float(np.mean(wrong) if user is None else wrong[user])
     return errors
 
 
@@ -294,8 +296,8 @@ def _conditional_psk_ser(gamma, modulation):
 
 
 def estimate_ser(config, fading, modulation, plan, home_cell=0,
-                 mode="semi_analytic"):
-    """Average M-PSK SER.
+                 mode="semi_analytic", user=None):
+    """Average M-PSK SER; pools users unless one is given.
 
     semi_analytic (default): averages the exact conditional SER over channel
     draws -- unbiased with far lower variance than symbol counting.
@@ -305,11 +307,11 @@ def estimate_ser(config, fading, modulation, plan, home_cell=0,
     if mode == "semi_analytic":
         return _sinr_estimate(config, fading, plan, home_cell,
                               partial(_conditional_psk_ser,
-                                      modulation=modulation))
+                                      modulation=modulation), user)
     if mode != "symbol":
         raise ValueError("mode must be 'semi_analytic' or 'symbol'")
     return _estimate(partial(_symbol_error_block, config, fading, modulation,
-                             plan.base_seed, home_cell), plan)
+                             plan.base_seed, home_cell, user=user), plan)
 
 
 def estimate_outage(config, fading, plan, gamma_th, home_cell=0, user=None):

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -235,12 +236,30 @@ def test_net_rate_samples_match_the_out_of_place_formula(reuse, user):
     drop = (_stored_drop() if reuse == 1 else
             cn.drop_users(sc, cn.build_hex_grid(sc),
                           np.random.default_rng(7)))
-    got = cn.net_rate_samples(sc, ofdm, drop, np.random.default_rng(4),
-                              samples=300, user=user)
-    want = _net_rate_samples_reference(sc, ofdm, drop,
-                                       np.random.default_rng(4), 300, user)
-    assert got.shape == want.shape
-    assert np.array_equal(got, want)
+    # around and across the row-block edges: one stream, the same bits
+    for samples in (1, cn._ROWS - 1, cn._ROWS, cn._ROWS + 1, 5000):
+        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        got = cn.net_rate_samples(sc, ofdm, drop, rng, samples=samples,
+                                  user=user)
+        want = _net_rate_samples_reference(sc, ofdm, drop, ref_rng, samples,
+                                           user)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_net_rate_samples_hold_one_block_of_uniforms():
+    # all 5000 rows of the 840 co-channel uniforms at once peak at 40 MB
+    sc = cn.NetworkScenario(reuse_factor=1, antennas=20)
+    drop = _stored_drop()
+    tracemalloc.start()
+    try:
+        cn.net_rate_samples(sc, cn.OfdmParams(), drop,
+                            np.random.default_rng(4), samples=5000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_net_rate_increases_with_power():
@@ -279,6 +298,21 @@ def test_rate_distribution_is_a_distribution():
     assert (np.diff(cdf) >= 0).all()
     assert cdf[0] >= 0.0 and cdf[-1] == 1.0
     assert dist.likely_95 <= dist.percentile(50.0) <= dist.samples.max()
+
+
+def test_rate_distribution_pools_the_per_drop_samples():
+    sc = cn.NetworkScenario(reuse_factor=7, antennas=20)
+    ofdm = cn.OfdmParams()
+    dist = cn.rate_distribution(sc, ofdm, 4, cn._ROWS + 3,
+                                np.random.default_rng(9))
+    rng = np.random.default_rng(9)
+    grid = cn.build_hex_grid(sc)
+    chunks = []
+    for _ in range(4):
+        drop = cn.drop_users(sc, grid, rng)
+        chunks.append(cn.net_rate_samples(sc, ofdm, drop, rng,
+                                          samples=cn._ROWS + 3).ravel())
+    assert np.array_equal(dist.samples, np.sort(np.concatenate(chunks)))
 
 
 def test_likely95_increases_with_antennas():

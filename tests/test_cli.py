@@ -8,7 +8,7 @@ import pytest
 from mumimo import cli
 from mumimo.closedform import (ModulationScheme, outage_exact, rate_exact,
                                ser_exact)
-from mumimo.fading import (SystemConfig, build_profile,
+from mumimo.fading import (LargeScaleFading, SystemConfig, build_profile,
                            characteristic_coefficients, symmetric_fading)
 from test_closedform import BREAKDOWN_GAINS, profile_system
 
@@ -132,6 +132,27 @@ def test_montecarlo_mode_emits_estimates(tmp_path):
     assert int(rows[0]["trials"]) == 500
 
 
+def test_montecarlo_mode_estimates_the_tagged_user(tmp_path):
+    # users with own gains 1, 0.5, 0.1: the estimate is user_index's, not
+    # the mean over users (2.365 here), which missed user 2's 1.0487
+    from mumimo.fading import save_fading_text
+    beta = np.full((2, 2, 3), 0.1)
+    beta[0, 0] = beta[1, 1] = (1.0, 0.5, 0.1)
+    path = tmp_path / "beta.txt"
+    save_fading_text(LargeScaleFading(beta), path)
+    out = tmp_path / "o"
+    # exit 3: the reference's closed sum fell back to quadrature
+    assert cli.main(["montecarlo", "--out", str(out), "--trials", "4000",
+                     "--set", f"fading_file={path}", "--set", "cells=2",
+                     "--set", "users=3", "--set", "n_list=6",
+                     "--set", "user_index=2"]) in (0, 3)
+    _, _, rows = read_csv(out / "montecarlo.csv")
+    est = float(rows[0]["estimate"])
+    ref = float(rows[0]["closed_form_reference"])
+    assert abs(ref - 1.0487) < 1e-4
+    assert abs(est - ref) < 5 * float(rows[0]["std_error"])
+
+
 def test_byte_identical_across_threads_and_reruns(tmp_path):
     args = ["montecarlo", "--seed", "7", "--trials", "400",
             "--set", "n_list=12", "--set", "users=4"]
@@ -195,6 +216,17 @@ def test_bad_float_values_exit_2_before_any_csv(tmp_path, capsys, mode,
     assert cli.main([mode, "--out", str(out), "--set", setting]) == 2
     err = capsys.readouterr().err
     assert setting.partition("=")[0] in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("snr_db", ["4000", "-4000"])
+def test_snr_db_beyond_the_float_range_exits_2(tmp_path, capsys, snr_db):
+    # 10^400 overflowed with a traceback; 10^-400 became p_u = 0
+    out = tmp_path / "o"
+    assert cli.main(["ser", "--out", str(out),
+                     "--set", f"snr_db_list={snr_db}"]) == 2
+    err = capsys.readouterr().err
+    assert "snr_db_list" in err and "Traceback" not in err
     assert not out.exists()
 
 

@@ -302,6 +302,23 @@ def test_symbol_mode_agrees_with_semi_analytic():
         mc.estimate_ser(cfg, fad, mod, plan, mode="bogus")
 
 
+@pytest.mark.parametrize("mode", ["semi_analytic", "symbol"])
+def test_one_user_ser_estimates_average_to_the_pooled_one(mode):
+    # own gains 1, 0.5, 0.1: the users' SERs differ, and their mean over
+    # the same trials is the estimate that pools users
+    beta = np.full((2, 2, 3), 0.1)
+    beta[0, 0] = beta[1, 1] = (1.0, 0.5, 0.1)
+    cfg, fad = SystemConfig(2, 3, 6, 10.0), LargeScaleFading(beta)
+    mod = cf.ModulationScheme(4)
+    plan = mc.TrialPlan(400, base_seed=5)
+    pooled = mc.estimate_ser(cfg, fad, mod, plan, mode=mode)
+    each = [mc.estimate_ser(cfg, fad, mod, plan, mode=mode, user=k)
+            for k in range(3)]
+    assert each[0].value < each[2].value
+    np.testing.assert_allclose(np.mean([e.value for e in each]),
+                               pooled.value, rtol=1e-12)
+
+
 def test_zero_sinr_conditional_ser_is_uniform_guess():
     mod = cf.ModulationScheme(4)
     val = mc._conditional_psk_ser(np.array([0.0]), mod)[0]
