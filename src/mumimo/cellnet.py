@@ -26,10 +26,13 @@ __all__ = [
 # reuse factor -> (i, j) with r = i^2 + i j + j^2
 _REUSE_SHIFTS = {1: (1, 0), 3: (1, 1), 7: (2, 1)}
 
-# sample rows per block of uniforms in `net_rate_samples`: sets the memory
-# of one block (256 rows of a reuse-1 drop's 840 co-channel users is
-# 1.7 MB), never a result
+# sample rows per block of interference uniforms: sets the memory of one
+# block (256 rows of a reuse-1 drop's 840 co-channel users is 1.7 MB),
+# never a result
 _ROWS = 256
+# drops per block of geometry in `rate_distribution`: sets the memory of one
+# block of rejection candidates (8 reuse-1 drops hold 0.3 MB), never a result
+_DROPS = 8
 
 
 @dataclass(frozen=True)
@@ -155,82 +158,96 @@ def _uniform_hexagon(rng, count, radius, exclusion):
     return pts
 
 
-def _uniform_hexagons(rng, cells, count, radius, exclusion):
-    """`_uniform_hexagon` for each of `cells` cells in turn, (cells, count, 2).
+def _drop_block(scenario, grid, drops, cand_rng, refill_rng, shadow_rng):
+    """Positions (drops, C, K, 2) and home-BS gains (drops, C, K) of `drops`
+    drops: beta = z / (d / r_h)^nu with z log-normal (shadow_sigma_db dB
+    standard deviation).
 
-    Each cell's first rejection round is 2 count + 8 candidates, so all
-    first rounds together are one (cells, 2 count + 8) draw.  When every
-    cell accepts `count` of them, each takes its first `count` in order:
-    the same points and the same generator state as the per-cell loop.
-    Otherwise the generator is rewound and the loop runs."""
-    saved = rng.bit_generator.state
-    cand, keep = _hexagon_candidates(rng, (cells, 2 * count + 8), radius,
-                                     exclusion)
-    if keep.sum(axis=1).min() >= count:
-        first = np.argsort(~keep, axis=1, kind="stable")[:, :count]
-        return np.take_along_axis(cand, first[..., None], axis=1)
-    rng.bit_generator.state = saved
-    return np.stack([_uniform_hexagon(rng, count, radius, exclusion)
-                     for _ in range(cells)])
+    Every cell's first rejection round is 2K + 8 candidates, so all first
+    rounds are one `cand_rng` draw, and each cell keeps its first K accepted
+    points.  A cell that accepts fewer keeps those and takes the rest from
+    `_uniform_hexagon` on `refill_rng`, cells in (drop, cell) order.  The
+    shadowing normals come from `shadow_rng`."""
+    cells, k = grid.shape[0], scenario.users_per_cell
+    radius, exclusion = scenario.cell_radius, scenario.exclusion_radius
+    cand, keep = _hexagon_candidates(cand_rng, (drops, cells, 2 * k + 8),
+                                     radius, exclusion)
+    first = np.argsort(~keep, axis=2, kind="stable")[..., :k]
+    pts = np.take_along_axis(cand, first[..., None], axis=2)
+    got = keep.sum(axis=2)
+    for d, c in zip(*np.nonzero(got < k)):
+        pts[d, c, got[d, c]:] = _uniform_hexagon(refill_rng, k - got[d, c],
+                                                 radius, exclusion)
+    pos = grid[:, None, :] + pts
+    d_home = np.hypot(pos[..., 0] - grid[0, 0], pos[..., 1] - grid[0, 1])
+    shadow = 10.0 ** (scenario.shadow_sigma_db * shadow_rng.standard_normal(
+        (drops, cells, k)) / 10.0)
+    beta = shadow / (d_home / exclusion) ** scenario.path_loss_exponent
+    return pos, beta
 
 
 def drop_users(scenario, grid, rng):
     """Drop K users uniformly in every co-channel cell and synthesize their
-    gains to the home BS: beta = z / (d / r_h)^nu with z log-normal
-    (shadow_sigma_db dB standard deviation)."""
-    cells = grid.shape[0]
-    k = scenario.users_per_cell
-    pos = grid[:, None, :] + _uniform_hexagons(
-        rng, cells, k, scenario.cell_radius, scenario.exclusion_radius)
-    d_home = np.hypot(pos[..., 0] - grid[0, 0], pos[..., 1] - grid[0, 1])
-    shadow = 10.0 ** (scenario.shadow_sigma_db * rng.standard_normal(
-        (cells, k)) / 10.0)
-    beta = shadow / (d_home / scenario.exclusion_radius) \
-        ** scenario.path_loss_exponent
-    return UserDrop(grid.copy(), pos, beta)
+    gains to the home BS (`_drop_block` for one drop, every draw from
+    `rng`: the first rejection round, the refills, then the shadowing)."""
+    pos, beta = _drop_block(scenario, grid, 1, rng, rng, rng)
+    return UserDrop(grid.copy(), pos[0], beta[0])
+
+
+def _drop_rates(scenario, ofdm, beta_d, cross, signal_rng, interference_rng,
+                out):
+    """Net uplink rates of one drop into `out` (samples, users), bits/second:
+    (B/r) (T_u/T_s) log2(1 + gamma) with gamma = p_u X / (p_u Z + 1/r).
+
+    X and Z are drawn from the exact post-ZF laws conditioned on the drop's
+    large-scale gains: X = beta_k G with G one standard gamma variate of
+    shape N-K+1 (so X is Erlang(N-K+1, beta_k)), written straight into
+    `out`; Z = -ln(V) . cross, one exponential per co-channel gain in
+    `cross`, from one block of uniforms V per `_ROWS` sample rows.  Z is
+    shared across the home users of one sample (it has the same law for
+    each; only the marginal matters here).  All signal draws come before
+    all interference draws, and both generators fill in C order, so no
+    value depends on the block size."""
+    samples = out.shape[0]
+    signal_rng.standard_gamma(scenario.zf_shape, out=out)
+    out *= beta_d
+    minus_z = np.empty(samples)
+    for lo in range(0, samples, _ROWS):
+        v = interference_rng.random((min(_ROWS, samples - lo), cross.size))
+        # one contiguous dot per row: a BLAS mat-vec sums a row in an order
+        # that depends on the rows in the call (6.9e-14 apart in the rates)
+        minus_z[lo:lo + _ROWS] = np.einsum("ij,j->i", np.log(v, out=v),
+                                           cross)
+    r, p_u = scenario.reuse_factor, scenario.transmit_snr
+    out *= p_u
+    out /= (1.0 / r - p_u * minus_z)[:, None]
+    out += 1.0
+    np.log2(out, out=out)
+    out *= (ofdm.bandwidth / r) * ofdm.overhead
+
+
+def _check_count(name, value):
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
 
 
 def net_rate_samples(scenario, ofdm, drop, rng, samples=1, user=None):
-    """Net uplink rate draws, bits/second: (B/r) (T_u/T_s) log2(1 + gamma)
-    with gamma = p_u X / (p_u Z + 1/r).
-
-    X and Z are drawn from the exact post-ZF laws conditioned on the drop's
-    large-scale gains: X Erlang(N-K+1, beta_k), Z the sum of one exponential
-    per co-channel user.  Z is shared across the home users of one sample
-    (it has the same law for each; only the marginal matters here).
-    The uniforms are drawn and reduced `_ROWS` sample rows at a time, so
-    memory holds one block of them; the draws and the values do not depend
-    on the block size.
+    """Net uplink rate draws on one drop, bits/second: (B/r) (T_u/T_s)
+    log2(1 + gamma) with gamma = p_u X / (p_u Z + 1/r), X Erlang(N-K+1,
+    beta_k) and Z one exponential per co-channel gain, drawn exactly given
+    the drop's gains.  Every signal variate comes from `rng` first, then
+    every interference row.
     Returns shape (samples, K) or (samples,) when a user index is given.
     """
-    r = scenario.reuse_factor
-    p_u = scenario.transmit_snr
-    nu = scenario.zf_shape
-    users = ([user] if user is not None
-             else list(range(scenario.users_per_cell)))
-    beta_d = drop.beta_home[0, users]
-    cross = drop.beta_home[1:].ravel()
-    # Generator.random fills in C order, so consecutive row blocks continue
-    # one stream: every X uniform comes before every Z uniform, as in one
-    # (samples, K, nu) draw followed by one (samples, C) draw.  Logs and
-    # products run in place and the sign comes after the sum: the same bits
-    # as summing -log(u) over each row (rounding is symmetric in sign).
-    # A drop with no co-channel users draws no Z uniforms and gets Z = -0.
-    blocks = [slice(lo, min(lo + _ROWS, samples))
-              for lo in range(0, samples, _ROWS)]
-    x = np.empty((samples, len(users)))
-    for rows in blocks:
-        u = rng.random((rows.stop - rows.start, len(users), nu))
-        x[rows] = np.log(u, out=u).sum(axis=2) * -beta_d
-    z = np.empty(samples)
-    for rows in blocks:
-        v = rng.random((rows.stop - rows.start, cross.size))
-        np.log(v, out=v)
-        v *= cross
-        z[rows] = -v.sum(axis=1)
-    gamma = p_u * x / (p_u * z[:, None] + 1.0 / r)
-    rate = (ofdm.bandwidth / r) * ofdm.overhead * np.log2(1.0 + gamma)
-    return rate[:, 0] if user is not None else rate
+    _check_count("samples", samples)
+    k = scenario.users_per_cell
+    if user is not None and not 0 <= user < k:
+        raise ValueError(f"user must lie in 0..{k - 1}, got {user}")
+    users = [user] if user is not None else list(range(k))
+    out = np.empty((samples, len(users)))
+    _drop_rates(scenario, ofdm, drop.beta_home[0, users],
+                drop.beta_home[1:].ravel(), rng, rng, out)
+    return out[:, 0] if user is not None else out
 
 
 class RateDistribution:
@@ -256,13 +273,34 @@ class RateDistribution:
             / self.samples.size
 
 
-def rate_distribution(scenario, ofdm, num_drops, samples_per_drop, rng):
-    """Empirical net-rate distribution pooled over geometry drops,
-    small-scale fading, and users."""
+def _network_rates(scenario, ofdm, num_drops, samples_per_drop, rng):
+    """Net rates (num_drops, samples_per_drop, K) of `num_drops` drops, drawn
+    `_DROPS` drops per block of geometry.  Its own function, so that the
+    last block is freed before `RateDistribution` copies the rates."""
+    cand, refill, shadow, signal, interference = map(
+        np.random.default_rng,
+        np.random.SeedSequence(rng.integers(2**63, size=2)).spawn(5))
     grid = build_hex_grid(scenario)
     rates = np.empty((num_drops, samples_per_drop, scenario.users_per_cell))
-    for drop_rates in rates:
-        drop = drop_users(scenario, grid, rng)
-        drop_rates[...] = net_rate_samples(scenario, ofdm, drop, rng,
-                                           samples=samples_per_drop)
-    return RateDistribution(rates)
+    for lo in range(0, num_drops, _DROPS):
+        block = rates[lo:lo + _DROPS]
+        _, beta = _drop_block(scenario, grid, block.shape[0], cand, refill,
+                              shadow)
+        for gains, out in zip(beta, block):
+            _drop_rates(scenario, ofdm, gains[0], gains[1:].ravel(), signal,
+                        interference, out)
+    return rates
+
+
+def rate_distribution(scenario, ofdm, num_drops, samples_per_drop, rng):
+    """Empirical net-rate distribution pooled over geometry drops,
+    small-scale fading, and users.
+
+    Each random quantity has its own stream, spawned from entropy drawn
+    from `rng`: the rejection candidates, the refills, the shadowing, the
+    signal and the interference.  So the drops of a seed do not depend on
+    `samples_per_drop`, and no value depends on `_DROPS` or `_ROWS`."""
+    _check_count("num_drops", num_drops)
+    _check_count("samples_per_drop", samples_per_drop)
+    return RateDistribution(_network_rates(scenario, ofdm, num_drops,
+                                           samples_per_drop, rng))

@@ -169,9 +169,10 @@ def resolve_config(file_values=None, overrides=None):
             if not low < v < high:
                 errors.append(f"{key} must lie in ({low}, {high}), got {v}")
     for v in merged["snr_db_list"]:
-        if isfinite(v) and not 0 < _db_to_linear(v) < inf:
+        p_u = _db_to_linear(v)
+        if isfinite(v) and not (0 < p_u < inf and 1.0 / p_u < inf):
             errors.append(f"snr_db_list value {v} dB must give a finite, "
-                          f"positive linear SNR")
+                          f"positive linear SNR with a finite reciprocal")
     if not (0 < merged["exclusion_radius"] < merged["cell_radius"]
             < merged["interference_horizon"]):
         errors.append("need 0 < exclusion_radius < cell_radius < "

@@ -144,11 +144,14 @@ def _rate_no_interference(config, beta):
 
 
 def _finite_snr(config, name):
-    """p_u, which the rate and its bound need finite: both integrals weigh
-    by e^{-s/p_u}, and without interference the rate diverges at p_u = inf."""
+    """p_u, which the rate and its bound need finite with a finite
+    reciprocal: both integrals weigh by e^{-s/p_u} and start at
+    u = -ln(slope + 1/p_u) - 41.5, and without interference the rate
+    diverges at p_u = inf."""
     p_u = config.transmit_snr
-    if not math.isfinite(p_u):
-        raise ValueError(f"{name} needs a finite transmit_snr, got {p_u}")
+    if not (math.isfinite(p_u) and math.isfinite(1.0 / p_u)):
+        raise ValueError(f"{name} needs a finite transmit_snr with a finite "
+                         f"reciprocal, got {p_u}")
     return p_u
 
 

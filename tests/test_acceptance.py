@@ -277,15 +277,16 @@ def test_criterion_10_scenario2():
     reuse-1-vs-7 CDF crossing at N=100.
 
     The two anchors fail genuinely.  The printed drop methodology gives
-    0.0715 and 0.5292 Mbit/s, -58.0% and -61.5% off, while the structure
-    reproduces: the N=20 -> N=100 ratio is 7.41 against the expected
+    0.0702 and 0.5745 Mbit/s, -58.7% and -58.2% off, while the structure
+    reproduces: the N=20 -> N=100 ratio is 8.18 against the expected
     8-fold, and the CDFs cross.  A shortfall of nearly one size at both N
     fits one SNR offset of about 4.5 dB that does not depend on N: with
     nothing else changed, 15 dB in place of the scenario's 10 dB gives
-    1.06 and 0.95 times the anchors on these seeds, ratio 7.27.  Averaging
-    the fast fading within each drop raises the 5th percentile by only
-    3-14%, and removing shadowing from the desired link overshoots to
-    about 3 times the anchors.  Where such an offset would come from (the
+    1.06 and 1.04 times the anchors on these seeds, ratio 7.99.  Averaging
+    the fast fading within each drop (4000 samples per drop) raises the
+    5th percentile by only 10% and 3%, and removing shadowing from the
+    desired link overshoots to 2.9 and 3.3 times the anchors.  Where such
+    an offset would come from (the
     point p_u refers to, a noise figure, the path-loss normalisation)
     needs the paper's own SNR definition, which PAPER.md, the abstract
     only, lacks; an SNR fitted to the anchors would be a fit, not

@@ -94,32 +94,40 @@ def test_uniform_hexagon_sampling():
     assert (r > math.sqrt(3) / 2 * 1000.0).any()
 
 
+def _reference_round(rng, count, radius, exclusion):
+    """One rejection round of one cell: the accepted points among `count`
+    candidates, in order."""
+    cand = rng.uniform(-1.0, 1.0, size=(count, 2))
+    cand[:, 0] *= math.sqrt(3.0) / 2.0 * radius
+    cand[:, 1] *= radius
+    inside = np.abs(cand[:, 1]) <= radius - np.abs(cand[:, 0]) / math.sqrt(3.0)
+    far = np.hypot(cand[:, 0], cand[:, 1]) >= exclusion
+    return cand[inside & far]
+
+
 def _reference_hexagon(rng, count, radius, exclusion):
     """The rejection sampler of one cell, one round at a time."""
-    half_w = math.sqrt(3.0) / 2.0 * radius
-    pts = np.empty((count, 2))
-    got = 0
-    while got < count:
-        cand = rng.uniform(-1.0, 1.0, size=(2 * (count - got) + 8, 2))
-        cand[:, 0] *= half_w
-        cand[:, 1] *= radius
-        inside = (np.abs(cand[:, 1])
-                  <= radius - np.abs(cand[:, 0]) / math.sqrt(3.0))
-        far = np.hypot(cand[:, 0], cand[:, 1]) >= exclusion
-        cand = cand[inside & far]
-        take = min(count - got, cand.shape[0])
-        pts[got:got + take] = cand[:take]
-        got += take
-    return pts
+    pts = np.empty((0, 2))
+    while len(pts) < count:
+        pts = np.concatenate([pts, _reference_round(
+            rng, 2 * (count - len(pts)) + 8, radius, exclusion)])
+    return pts[:count]
 
 
 def _reference_drop(sc, grid, rng):
-    """drop_users with one rejection loop per cell, in cell order."""
+    """drop_users as loops per cell: every cell's first round of 2K + 8
+    candidates, then the rejection loop for the points that each short
+    cell lacks, then the shadowing."""
     cells, k = grid.shape[0], sc.users_per_cell
+    radius, exclusion = sc.cell_radius, sc.exclusion_radius
+    first = [_reference_round(rng, 2 * k + 8, radius, exclusion)
+             for _ in range(cells)]
     pos = np.empty((cells, k, 2))
-    for c in range(cells):
-        pos[c] = grid[c] + _reference_hexagon(rng, k, sc.cell_radius,
-                                              sc.exclusion_radius)
+    for c, accepted in enumerate(first):
+        got = min(k, len(accepted))
+        pos[c, :got] = accepted[:got]
+        pos[c, got:] = _reference_hexagon(rng, k - got, radius, exclusion)
+        pos[c] += grid[c]
     d_home = np.hypot(pos[..., 0] - grid[0, 0], pos[..., 1] - grid[0, 1])
     shadow = 10.0 ** (sc.shadow_sigma_db * rng.standard_normal((cells, k))
                       / 10.0)
@@ -132,8 +140,8 @@ def _reference_drop(sc, grid, rng):
     ({"reuse_factor": 3}, {"one-draw"}),
     ({"reuse_factor": 7}, {"one-draw"}),
     ({"reuse_factor": 1, "exclusion_radius": 600.0,
-      "interference_horizon": 2000.0}, {"one-draw", "per-cell"}),
-    ({"reuse_factor": 7, "exclusion_radius": 900.0}, {"per-cell"}),
+      "interference_horizon": 2000.0}, {"one-draw", "refill"}),
+    ({"reuse_factor": 7, "exclusion_radius": 900.0}, {"refill"}),
 ])
 def test_drop_users_matches_per_cell_loop_bit_for_bit(monkeypatch, kwargs,
                                                       paths):
@@ -152,13 +160,63 @@ def test_drop_users_matches_per_cell_loop_bit_for_bit(monkeypatch, kwargs,
     for _ in range(20):
         calls.clear()
         drop = cn.drop_users(sc, grid, rng)
-        seen.add("per-cell" if calls else "one-draw")
+        seen.add("refill" if calls else "one-draw")
         pos, beta = _reference_drop(sc, grid, ref)
         assert np.array_equal(drop.positions, pos)
         assert np.array_equal(drop.beta_home, beta)
         assert rng.bit_generator.state == ref.bit_generator.state
     assert seen == paths
     assert np.array_equal(rng.random(4), ref.random(4))
+
+
+def _inside_cells(sc, grid, positions):
+    """Whether every user lies inside its own cell's hexagon, outside the
+    exclusion disc around its base station."""
+    rel = positions - grid[:, None, :]
+    x, y = np.abs(rel[..., 0]), np.abs(rel[..., 1])
+    inside = y <= sc.cell_radius - x / math.sqrt(3.0) + 1e-9
+    return bool((inside & (np.hypot(x, y) >= sc.exclusion_radius)).all())
+
+
+def test_refilled_cells_keep_their_points_inside_the_hexagon():
+    # at r_h = 900 m nearly every cell comes up short in its first round
+    sc = cn.NetworkScenario(reuse_factor=7, exclusion_radius=900.0)
+    grid = cn.build_hex_grid(sc)
+    rngs = [np.random.default_rng(seed) for seed in (1, 2, 3)]
+    pos, beta = cn._drop_block(sc, grid, 7, *rngs)
+    assert pos.shape == (7, grid.shape[0], sc.users_per_cell, 2)
+    assert _inside_cells(sc, grid, pos)
+    assert np.isfinite(beta).all() and (beta > 0).all()
+    # the short cells drew refills; the first-round stream is one draw
+    assert rngs[1].bit_generator.state \
+        != np.random.default_rng(2).bit_generator.state
+
+
+FIXED_DROP = (Path(__file__).resolve().parents[1] / "benchmark"
+              / "fixed_drop.json")
+REFERENCES = FIXED_DROP.with_name("references.json")
+
+
+def _stored_drop():
+    stored = json.loads(FIXED_DROP.read_text())
+    return cn.UserDrop(*(np.array(stored[key]) for key in
+                         ("bs_positions", "positions", "beta_home")))
+
+
+def test_drop_users_reproduces_the_stored_fixed_drop():
+    # every cell takes its points from the first rejection round here
+    # (at least 12 of 28 accepted), so this is the drop stored before the
+    # refill rule existed
+    stored = json.loads(FIXED_DROP.read_text())
+    sc = cn.NetworkScenario(reuse_factor=stored["reuse"],
+                            antennas=stored["antennas"],
+                            users_per_cell=stored["users"],
+                            transmit_snr=stored["transmit_snr"])
+    drop = cn.drop_users(sc, cn.build_hex_grid(sc),
+                         np.random.default_rng(20120212))
+    want = _stored_drop()
+    for field in ("bs_positions", "positions", "beta_home"):
+        assert np.array_equal(getattr(drop, field), getattr(want, field))
 
 
 def test_drop_users_gain_model():
@@ -203,29 +261,19 @@ def test_net_rate_reuse_one_reduces_to_plain_rate():
 
 
 def _net_rate_samples_reference(scenario, ofdm, drop, rng, samples, user):
-    """`net_rate_samples` as first written: -log of the uniforms, then
-    products and sums out of place."""
+    """`net_rate_samples` out of place: one gamma variate per user-sample,
+    then -log of every interference uniform times its gain, summed."""
     r, p_u, nu = (scenario.reuse_factor, scenario.transmit_snr,
                   scenario.zf_shape)
     users = ([user] if user is not None
              else list(range(scenario.users_per_cell)))
     beta_d = drop.beta_home[0, users]
-    x = -np.log(rng.random((samples, len(users), nu))).sum(axis=2) * beta_d
+    x = rng.standard_gamma(nu, size=(samples, len(users))) * beta_d
     cross = drop.beta_home[1:].ravel()
     z = (-np.log(rng.random((samples, cross.size))) * cross).sum(axis=1)
     gamma = p_u * x / (p_u * z[:, None] + 1.0 / r)
     rate = (ofdm.bandwidth / r) * ofdm.overhead * np.log2(1.0 + gamma)
     return rate[:, 0] if user is not None else rate
-
-
-FIXED_DROP = (Path(__file__).resolve().parents[1] / "benchmark"
-              / "fixed_drop.json")
-
-
-def _stored_drop():
-    stored = json.loads(FIXED_DROP.read_text())
-    return cn.UserDrop(*(np.array(stored[key]) for key in
-                         ("bs_positions", "positions", "beta_home")))
 
 
 @pytest.mark.parametrize("user", [None, 3])
@@ -236,7 +284,11 @@ def test_net_rate_samples_match_the_out_of_place_formula(reuse, user):
     drop = (_stored_drop() if reuse == 1 else
             cn.drop_users(sc, cn.build_hex_grid(sc),
                           np.random.default_rng(7)))
-    # around and across the row-block edges: one stream, the same bits
+    # around and across the row-block edges: the same draws.  The dot
+    # products sum in another order than `sum`, hence rtol; at small gamma
+    # that can move 1 + gamma by one ulp, which moves the rate by `ulp`
+    ulp = (ofdm.bandwidth / reuse) * ofdm.overhead * np.spacing(1.0) \
+        / math.log(2.0)
     for samples in (1, cn._ROWS - 1, cn._ROWS, cn._ROWS + 1, 5000):
         rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
         got = cn.net_rate_samples(sc, ofdm, drop, rng, samples=samples,
@@ -244,8 +296,44 @@ def test_net_rate_samples_match_the_out_of_place_formula(reuse, user):
         want = _net_rate_samples_reference(sc, ofdm, drop, ref_rng, samples,
                                            user)
         assert got.shape == want.shape
-        assert np.array_equal(got, want)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=ulp)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_net_rate_samples_match_the_fixed_drop_references():
+    # exact per-user ergodic net rates of the stored drop (30 digits)
+    want = np.array(json.loads(REFERENCES.read_text())["fixed-drop"],
+                    dtype=float)
+    sc = cn.NetworkScenario(reuse_factor=1, antennas=20)
+    rates = cn.net_rate_samples(sc, cn.OfdmParams(), _stored_drop(),
+                                np.random.default_rng(2012), samples=20_000)
+    err = rates.std(axis=0, ddof=1) / math.sqrt(rates.shape[0])
+    assert (np.abs(rates.mean(axis=0) - want) <= 5.0 * err).all()
+
+
+@pytest.mark.parametrize("kwargs", [{"reuse_factor": 1},
+                                    {"reuse_factor": 7},
+                                    {"exclusion_radius": 600.0}])
+def test_network_rates_do_not_depend_on_the_block_sizes(monkeypatch,
+                                                         kwargs):
+    sc = cn.NetworkScenario(antennas=20, **kwargs)
+    ofdm = cn.OfdmParams()
+    drop = cn.drop_users(sc, cn.build_hex_grid(sc), np.random.default_rng(3))
+
+    def run():
+        dist = cn.rate_distribution(sc, ofdm, 17, 300,
+                                    np.random.default_rng(5))
+        rates = cn.net_rate_samples(sc, ofdm, drop, np.random.default_rng(6),
+                                    samples=300)
+        return dist.samples, rates
+
+    want = run()
+    for rows in (1, 7, cn._ROWS):
+        for drops in (1, 7, cn._DROPS):
+            monkeypatch.setattr(cn, "_ROWS", rows)
+            monkeypatch.setattr(cn, "_DROPS", drops)
+            got = run()
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_net_rate_samples_hold_one_block_of_uniforms():
@@ -303,16 +391,83 @@ def test_rate_distribution_is_a_distribution():
 def test_rate_distribution_pools_the_per_drop_samples():
     sc = cn.NetworkScenario(reuse_factor=7, antennas=20)
     ofdm = cn.OfdmParams()
-    dist = cn.rate_distribution(sc, ofdm, 4, cn._ROWS + 3,
-                                np.random.default_rng(9))
     rng = np.random.default_rng(9)
+    dist = cn.rate_distribution(sc, ofdm, 4, cn._ROWS + 3, rng)
+    # one stream per quantity, spawned from entropy drawn from the caller's
+    # generator, which advances past it
+    ref = np.random.default_rng(9)
+    cand, refill, shadow, signal, interference = (
+        np.random.default_rng(seq) for seq in
+        np.random.SeedSequence(ref.integers(2**63, size=2)).spawn(5))
+    assert rng.bit_generator.state == ref.bit_generator.state
     grid = cn.build_hex_grid(sc)
     chunks = []
     for _ in range(4):
-        drop = cn.drop_users(sc, grid, rng)
-        chunks.append(cn.net_rate_samples(sc, ofdm, drop, rng,
-                                          samples=cn._ROWS + 3).ravel())
+        beta = cn._drop_block(sc, grid, 1, cand, refill, shadow)[1][0]
+        out = np.empty((cn._ROWS + 3, sc.users_per_cell))
+        cn._drop_rates(sc, ofdm, beta[0], beta[1:].ravel(), signal,
+                       interference, out)
+        chunks.append(out.ravel())
     assert np.array_equal(dist.samples, np.sort(np.concatenate(chunks)))
+
+
+def test_rate_distribution_drops_do_not_depend_on_the_samples(monkeypatch):
+    sc = cn.NetworkScenario(reuse_factor=3, antennas=20)
+    drawn = []
+    block = cn._drop_block
+
+    def recorded(*args):
+        pos, beta = block(*args)
+        drawn.append(beta)
+        return pos, beta
+
+    monkeypatch.setattr(cn, "_drop_block", recorded)
+    gains = []
+    for samples in (1, 40):
+        drawn.clear()
+        cn.rate_distribution(sc, cn.OfdmParams(), 12, samples,
+                             np.random.default_rng(21))
+        gains.append(np.concatenate(drawn))
+    assert gains[0].shape[0] == 12
+    assert np.array_equal(gains[0], gains[1])
+
+
+def test_rate_distribution_memory_is_the_pooled_rates():
+    # 200 x 100 x 10 rates are 1.6 MB, and the sorted copy that
+    # RateDistribution keeps another 1.6 MB.  Traced peak at the
+    # sum-of-exponentials sampler it replaced: 3,231,480 bytes.
+    sc = cn.NetworkScenario(reuse_factor=1, antennas=100)
+    tracemalloc.start()
+    try:
+        cn.rate_distribution(sc, cn.OfdmParams(), 200, 100,
+                             np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_231_480
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"user": -1}, "user"), ({"user": 10}, "user"),
+    ({"samples": 0}, "samples"), ({"samples": -2}, "samples")])
+def test_net_rate_samples_reject_bad_arguments(kwargs, name):
+    # unchecked, user=-1 gave user K-1's rates, user=K raised IndexError and
+    # samples=-2 failed inside numpy
+    sc = cn.NetworkScenario(reuse_factor=7)
+    drop = cn.drop_users(sc, cn.build_hex_grid(sc), np.random.default_rng(1))
+    with pytest.raises(ValueError, match=name):
+        cn.net_rate_samples(sc, cn.OfdmParams(), drop,
+                            np.random.default_rng(2), **kwargs)
+
+
+@pytest.mark.parametrize("drops, samples, name", [
+    (0, 10, "num_drops"), (-1, 10, "num_drops"),
+    (2, 0, "samples_per_drop"), (2, -3, "samples_per_drop")])
+def test_rate_distribution_rejects_bad_counts(drops, samples, name):
+    with pytest.raises(ValueError, match=name):
+        cn.rate_distribution(cn.NetworkScenario(reuse_factor=7),
+                             cn.OfdmParams(), drops, samples,
+                             np.random.default_rng(2))
 
 
 def test_likely95_increases_with_antennas():

@@ -230,6 +230,20 @@ def test_snr_db_beyond_the_float_range_exits_2(tmp_path, capsys, snr_db):
     assert not out.exists()
 
 
+def test_snr_db_whose_reciprocal_overflows_exits_2(tmp_path, capsys):
+    # -3200 dB is p_u = 1e-320, subnormal: 1/p_u overflowed in the rate
+    # integral, which ended in a traceback with exit 1
+    out = tmp_path / "o"
+    assert cli.main(["rate", "--out", str(out), "--set", "n_list=10",
+                     "--set", "snr_db_list=-3200"]) == 2
+    err = capsys.readouterr().err
+    assert "snr_db_list" in err and "Traceback" not in err
+    assert not out.exists()
+    assert cli.main(["rate", "--out", str(out), "--set", "n_list=10",
+                     "--set", "snr_db_list=-3000"]) in (0, 3)
+    assert (out / "rate.csv").exists()
+
+
 def test_exit_code_3_on_cancellation_guard(tmp_path):
     out = tmp_path / "o"
     code = cli.main(["rate", "--out", str(out), "--set", "n_list=500",

@@ -241,6 +241,18 @@ def test_bound_needs_a_finite_transmit_power():
             1, 10), CharacteristicExpansion.empty(), 0, 0)
 
 
+def test_rate_needs_a_transmit_power_with_a_finite_reciprocal():
+    # at a subnormal p_u, 1/p_u overflowed and the integration range became
+    # "ValueError: Maximum allowed size exceeded" inside numpy
+    cfg, fad, exp = scenario1(20, 0.1)
+    cfg_tiny = replace(cfg, transmit_snr=1e-320)
+    for fn in (cf.rate_lower_bound, cf.rate_exact, cf.rate_by_quadrature):
+        with pytest.raises(ValueError, match="finite reciprocal"):
+            fn(cfg_tiny, fad, exp, 0, 0)
+    assert cf.rate_exact(replace(cfg, transmit_snr=1e-300), fad, exp, 0,
+                         0).value > 0.0
+
+
 def rate_mpmath(mp, cfg, fad, p_u):
     """The rate at 30 digits by Hamdi's lemma: R ln 2 is the integral over
     u = ln s of e^{-s / p_u} prod_m (1 + mu_m s)^-tau_m (1 - (1 + beta
