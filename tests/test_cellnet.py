@@ -169,15 +169,6 @@ def test_drop_users_matches_per_cell_loop_bit_for_bit(monkeypatch, kwargs,
     assert np.array_equal(rng.random(4), ref.random(4))
 
 
-def _inside_cells(sc, grid, positions):
-    """Whether every user lies inside its own cell's hexagon, outside the
-    exclusion disc around its base station."""
-    rel = positions - grid[:, None, :]
-    x, y = np.abs(rel[..., 0]), np.abs(rel[..., 1])
-    inside = y <= sc.cell_radius - x / math.sqrt(3.0) + 1e-9
-    return bool((inside & (np.hypot(x, y) >= sc.exclusion_radius)).all())
-
-
 def test_refilled_cells_keep_their_points_inside_the_hexagon():
     # at r_h = 900 m nearly every cell comes up short in its first round
     sc = cn.NetworkScenario(reuse_factor=7, exclusion_radius=900.0)
@@ -185,7 +176,10 @@ def test_refilled_cells_keep_their_points_inside_the_hexagon():
     rngs = [np.random.default_rng(seed) for seed in (1, 2, 3)]
     pos, beta = cn._drop_block(sc, grid, 7, *rngs)
     assert pos.shape == (7, grid.shape[0], sc.users_per_cell, 2)
-    assert _inside_cells(sc, grid, pos)
+    rel = pos - grid[:, None, :]
+    x, y = np.abs(rel[..., 0]), np.abs(rel[..., 1])
+    assert (y <= sc.cell_radius - x / math.sqrt(3.0) + 1e-9).all()
+    assert (np.hypot(x, y) >= sc.exclusion_radius).all()
     assert np.isfinite(beta).all() and (beta > 0).all()
     # the short cells drew refills; the first-round stream is one draw
     assert rngs[1].bit_generator.state \
