@@ -1,6 +1,7 @@
 """Hexagonal cellular network with path loss, log-normal shadowing, and
 frequency reuse: random user drops, per-user net uplink rate, and its
-distribution (95%-likely rates).
+distribution (95%-likely rates).  The interference is drawn by the kernel
+of `sinrdist.sample_sinr`.
 
 Geometry: pointy-top hexagons of circumradius R tile the plane with BS
 spacing sqrt(3) R; reuse factors 1, 3, 7 use the standard (i, j) cluster
@@ -11,6 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .sinrdist import _interference
 
 __all__ = [
     "NetworkScenario",
@@ -26,10 +29,6 @@ __all__ = [
 # reuse factor -> (i, j) with r = i^2 + i j + j^2
 _REUSE_SHIFTS = {1: (1, 0), 3: (1, 1), 7: (2, 1)}
 
-# sample rows per block of interference uniforms: sets the memory of one
-# block (256 rows of a reuse-1 drop's 840 co-channel users is 1.7 MB),
-# never a result
-_ROWS = 256
 # drops per block of geometry in `rate_distribution`: sets the memory of one
 # block of rejection candidates (8 reuse-1 drops hold 0.3 MB), never a result
 _DROPS = 8
@@ -203,24 +202,16 @@ def _drop_rates(scenario, ofdm, beta_d, cross, signal_rng, interference_rng,
     large-scale gains: X = beta_k G with G one standard gamma variate of
     shape N-K+1 (so X is Erlang(N-K+1, beta_k)), written straight into
     `out`; Z = -ln(V) . cross, one exponential per co-channel gain in
-    `cross`, from one block of uniforms V per `_ROWS` sample rows.  Z is
-    shared across the home users of one sample (it has the same law for
-    each; only the marginal matters here).  All signal draws come before
-    all interference draws, and both generators fill in C order, so no
-    value depends on the block size."""
-    samples = out.shape[0]
+    `cross`, drawn by `sinrdist._interference`.  Z is shared across the
+    home users of one sample (it has the same law for each; only the
+    marginal matters here).  All signal draws come before all interference
+    draws, and no value depends on the kernel's block size."""
     signal_rng.standard_gamma(scenario.zf_shape, out=out)
     out *= beta_d
-    minus_z = np.empty(samples)
-    for lo in range(0, samples, _ROWS):
-        v = interference_rng.random((min(_ROWS, samples - lo), cross.size))
-        # one contiguous dot per row: a BLAS mat-vec sums a row in an order
-        # that depends on the rows in the call (6.9e-14 apart in the rates)
-        minus_z[lo:lo + _ROWS] = np.einsum("ij,j->i", np.log(v, out=v),
-                                           cross)
+    z = _interference(interference_rng, cross, out.shape[0])
     r, p_u = scenario.reuse_factor, scenario.transmit_snr
     out *= p_u
-    out /= (1.0 / r - p_u * minus_z)[:, None]
+    out /= (1.0 / r + p_u * z)[:, None]
     out += 1.0
     np.log2(out, out=out)
     out *= (ofdm.bandwidth / r) * ofdm.overhead
@@ -273,10 +264,18 @@ class RateDistribution:
             / self.samples.size
 
 
-def _network_rates(scenario, ofdm, num_drops, samples_per_drop, rng):
-    """Net rates (num_drops, samples_per_drop, K) of `num_drops` drops, drawn
-    `_DROPS` drops per block of geometry.  Its own function, so that the
-    last block is freed before `RateDistribution` copies the rates."""
+def rate_distribution(scenario, ofdm, num_drops, samples_per_drop, rng):
+    """Empirical net-rate distribution pooled over geometry drops,
+    small-scale fading, and users, drawn `_DROPS` drops per block of
+    geometry and sorted in place (not copied).
+
+    Each random quantity has its own stream, spawned from entropy drawn
+    from `rng`: the rejection candidates, the refills, the shadowing, the
+    signal and the interference.  So the drops of a seed do not depend on
+    `samples_per_drop`, and no value depends on `_DROPS` or the
+    interference kernel's row block."""
+    _check_count("num_drops", num_drops)
+    _check_count("samples_per_drop", samples_per_drop)
     cand, refill, shadow, signal, interference = map(
         np.random.default_rng,
         np.random.SeedSequence(rng.integers(2**63, size=2)).spawn(5))
@@ -289,18 +288,7 @@ def _network_rates(scenario, ofdm, num_drops, samples_per_drop, rng):
         for gains, out in zip(beta, block):
             _drop_rates(scenario, ofdm, gains[0], gains[1:].ravel(), signal,
                         interference, out)
-    return rates
-
-
-def rate_distribution(scenario, ofdm, num_drops, samples_per_drop, rng):
-    """Empirical net-rate distribution pooled over geometry drops,
-    small-scale fading, and users.
-
-    Each random quantity has its own stream, spawned from entropy drawn
-    from `rng`: the rejection candidates, the refills, the shadowing, the
-    signal and the interference.  So the drops of a seed do not depend on
-    `samples_per_drop`, and no value depends on `_DROPS` or `_ROWS`."""
-    _check_count("num_drops", num_drops)
-    _check_count("samples_per_drop", samples_per_drop)
-    return RateDistribution(_network_rates(scenario, ofdm, num_drops,
-                                           samples_per_drop, rng))
+    dist = RateDistribution.__new__(RateDistribution)
+    dist.samples = rates.reshape(-1)
+    dist.samples.sort()
+    return dist

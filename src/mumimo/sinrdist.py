@@ -5,7 +5,8 @@ X (desired power) is Erlang with shape N-K+1 and scale beta_llk; Z
 gains (mu, tau) the model carries as a fading.CharacteristicExpansion.  Both
 are exact distributional identities for the zero-forcing receiver, so this
 module doubles as a fast sampler equivalent to full channel-matrix
-simulation.
+simulation: `sample_sinr` draws X / (Z + 1/p_u), p_u = inf too, and its
+interference kernel also draws the hexagonal network's Z (`cellnet`).
 
 The CDF of gamma (the outage) and the Erlang CDF are the tail of one
 Poisson plus negative-binomial count over the gains (`_count_tail`), and
@@ -42,7 +43,10 @@ __all__ = [
     "sinr_cdf_quadrature",
 ]
 
-_CHUNK = 1 << 21  # cap on scratch elements while sampling
+# sample rows per block of interference uniforms: sets the memory of one
+# block (256 rows of a reuse-1 drop's 840 co-channel users is 1.7 MB),
+# never a result
+_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -243,43 +247,43 @@ def mgf_sinr_high_snr(model, s):
 # sampling
 # ---------------------------------------------------------------------------
 
-def _erlang_draws(rng, count, shape, scale):
-    """Sum of `shape` exponentials via -scale ln U; exact for integer shape."""
-    out = np.zeros(count)
-    step = max(1, _CHUNK // max(shape, 1))
-    for lo in range(0, count, step):
-        hi = min(count, lo + step)
-        u = rng.random((hi - lo, shape))
-        out[lo:hi] = -scale * np.log(u).sum(axis=1)
-    return out
+def _interference(rng, gains, count):
+    """`count` draws of Z = -ln(V) . gains, one exponential per gain, from
+    one block of uniforms V per `_ROWS` rows.  `Generator.random` fills in
+    C order and each row is one dot, so no value depends on `_ROWS`.  No
+    gains draw nothing and give Z = 0."""
+    z = np.empty(count)
+    for lo in range(0, count, _ROWS):
+        v = rng.random((min(_ROWS, count - lo), gains.size))
+        # one contiguous dot per row: a BLAS mat-vec sums a row in an order
+        # that depends on the rows in the call (6.9e-14 apart in the rates)
+        z[lo:lo + _ROWS] = np.einsum("ij,j->i", np.log(v, out=v), gains)
+    return np.negative(z, out=z)
 
 
 def sample_sinr(model, rng, size=None):
-    """Draw p_u X / (p_u Z + 1).
+    """Draw X / (Z + 1/p_u), the SINR p_u X / (p_u Z + 1); p_u = inf gives
+    the high-SNR limit X/Z (+inf without interference).
 
-    Z is sampled as the sum of the underlying per-user exponentials (the
-    diagonal of the interference matrix), not from the mixture expansion,
-    whose weights may be negative.
+    X is beta times one standard gamma variate of shape N-K+1, all drawn
+    before Z.  Z is the sum of the underlying per-user exponentials
+    (`_interference`), not drawn from the mixture expansion, whose weights
+    may be negative.
     """
     count = 1 if size is None else int(size)
-    x = _erlang_draws(rng, count, model.desired.shape, model.desired.scale)
-    if model.interference.is_empty:
-        z = np.zeros(count)
-    else:
-        rates = model.interference.rates()
-        z = np.zeros(count)
-        step = max(1, _CHUNK // max(rates.size, 1))
-        for lo in range(0, count, step):
-            hi = min(count, lo + step)
-            u = rng.random((hi - lo, rates.size))
-            z[lo:hi] = -(np.log(u) * rates).sum(axis=1)
-    gamma = model.p_u * x / (model.p_u * z + 1.0)
-    return float(gamma[0]) if size is None else gamma
+    x = rng.standard_gamma(model.desired.shape, size=count)
+    x *= model.desired.scale
+    z = _interference(rng, model.interference.rates(), count)
+    z += 1.0 / model.p_u
+    with np.errstate(divide="ignore"):
+        x /= z
+    return float(x[0]) if size is None else x
 
 
-def sinr_cdf_quadrature(model, threshold,
-                        spec=QuadratureSpec(relative_tolerance=1e-9,
-                                            absolute_tolerance=1e-300)):
+_CDF_SPEC = QuadratureSpec(relative_tolerance=1e-9, absolute_tolerance=1e-300)
+
+
+def sinr_cdf_quadrature(model, threshold):
     """P{gamma <= threshold} by integrating the Erlang CDF against pdf_z.
 
     Quadrature path over the partial-fraction density, kept independent of
@@ -298,4 +302,4 @@ def sinr_cdf_quadrature(model, threshold,
         return pdf_z(dist, z) * cdf_x(model.desired, threshold * (z + t0))
 
     return min(1.0, max(0.0, integrate_semi_infinite(
-        f, 0.0, spec, scale=dist.mean)))
+        f, 0.0, _CDF_SPEC, scale=dist.mean)))

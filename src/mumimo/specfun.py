@@ -151,7 +151,7 @@ def _tricomi_u_terminating(a, m, z):
     return math.inf if log_value > 709.0 else math.exp(log_value)
 
 
-def tricomi_u(a, b, z, spec=_ORACLE_SPEC):
+def tricomi_u(a, b, z):
     """Confluent hypergeometric U(a, b, z) for integer a >= 1, integer b, z > 0.
 
     From the integral representation
@@ -185,7 +185,7 @@ def tricomi_u(a, b, z, spec=_ORACLE_SPEC):
     bq = z - b + 2.0
     peak = (-bq + math.sqrt(bq * bq + 4.0 * z * c1)) / (2.0 * z)
     scale = max(peak, 1.0 / z)
-    return integrate_semi_infinite(f, 0.0, spec, scale=scale)
+    return integrate_semi_infinite(f, 0.0, _ORACLE_SPEC, scale=scale)
 
 
 def hyp2f0_neg(n, p, x):
@@ -225,7 +225,7 @@ def hyp2f0_neg(n, p, x):
 # log-moment kernel: int_0^inf ln(1+a z) z^{n-1} e^{-z/mu} dz
 # ---------------------------------------------------------------------------
 
-def log_moment_quadrature(n, mu, a, spec=_ORACLE_SPEC, normalized=False):
+def log_moment_quadrature(n, mu, a, normalized=False):
     """Adaptive-quadrature evaluation of the log-moment integral."""
     n = _check_int(n, "n", 1)
     norm = math.lgamma(n) + n * math.log(mu) if normalized else 0.0
@@ -236,7 +236,8 @@ def log_moment_quadrature(n, mu, a, spec=_ORACLE_SPEC, normalized=False):
         return math.log1p(a * z) * math.exp(
             (n - 1) * math.log(z) - z / mu - norm)
 
-    return integrate_semi_infinite(f, 0.0, spec, scale=max(n * mu, mu))
+    return integrate_semi_infinite(f, 0.0, _ORACLE_SPEC,
+                                   scale=max(n * mu, mu))
 
 
 def _scaled_en_sum(n, z):
@@ -365,7 +366,7 @@ def _ei_moment_closed(m, n, a, b, alpha, seq=None):
     return value, cond
 
 
-def ei_moment_quadrature(m, n, a, b, alpha, spec=_ORACLE_SPEC):
+def ei_moment_quadrature(m, n, a, b, alpha):
     """Direct adaptive quadrature of the defining integral.
 
     Raises OverflowError when the integrand (hence the integral) exceeds
@@ -387,7 +388,7 @@ def ei_moment_quadrature(m, n, a, b, alpha, spec=_ORACLE_SPEC):
                 f"(m={m}, n={n}, a={a}, b={b}, alpha={alpha})")
         return -math.exp(logval)
 
-    return integrate_semi_infinite(f, 0.0, spec,
+    return integrate_semi_infinite(f, 0.0, _ORACLE_SPEC,
                                    scale=(m + n + 1.0) / alpha)
 
 

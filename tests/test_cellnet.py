@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mumimo import cellnet as cn
+from mumimo import sinrdist as sd
 
 
 def test_scenario_validation():
@@ -283,7 +284,7 @@ def test_net_rate_samples_match_the_out_of_place_formula(reuse, user):
     # that can move 1 + gamma by one ulp, which moves the rate by `ulp`
     ulp = (ofdm.bandwidth / reuse) * ofdm.overhead * np.spacing(1.0) \
         / math.log(2.0)
-    for samples in (1, cn._ROWS - 1, cn._ROWS, cn._ROWS + 1, 5000):
+    for samples in (1, sd._ROWS - 1, sd._ROWS, sd._ROWS + 1, 5000):
         rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
         got = cn.net_rate_samples(sc, ofdm, drop, rng, samples=samples,
                                   user=user)
@@ -322,9 +323,9 @@ def test_network_rates_do_not_depend_on_the_block_sizes(monkeypatch,
         return dist.samples, rates
 
     want = run()
-    for rows in (1, 7, cn._ROWS):
+    for rows in (1, 7, sd._ROWS):
         for drops in (1, 7, cn._DROPS):
-            monkeypatch.setattr(cn, "_ROWS", rows)
+            monkeypatch.setattr(sd, "_ROWS", rows)
             monkeypatch.setattr(cn, "_DROPS", drops)
             got = run()
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
@@ -386,7 +387,7 @@ def test_rate_distribution_pools_the_per_drop_samples():
     sc = cn.NetworkScenario(reuse_factor=7, antennas=20)
     ofdm = cn.OfdmParams()
     rng = np.random.default_rng(9)
-    dist = cn.rate_distribution(sc, ofdm, 4, cn._ROWS + 3, rng)
+    dist = cn.rate_distribution(sc, ofdm, 4, sd._ROWS + 3, rng)
     # one stream per quantity, spawned from entropy drawn from the caller's
     # generator, which advances past it
     ref = np.random.default_rng(9)
@@ -398,7 +399,7 @@ def test_rate_distribution_pools_the_per_drop_samples():
     chunks = []
     for _ in range(4):
         beta = cn._drop_block(sc, grid, 1, cand, refill, shadow)[1][0]
-        out = np.empty((cn._ROWS + 3, sc.users_per_cell))
+        out = np.empty((sd._ROWS + 3, sc.users_per_cell))
         cn._drop_rates(sc, ofdm, beta[0], beta[1:].ravel(), signal,
                        interference, out)
         chunks.append(out.ravel())
@@ -427,9 +428,9 @@ def test_rate_distribution_drops_do_not_depend_on_the_samples(monkeypatch):
 
 
 def test_rate_distribution_memory_is_the_pooled_rates():
-    # 200 x 100 x 10 rates are 1.6 MB, and the sorted copy that
-    # RateDistribution keeps another 1.6 MB.  Traced peak at the
-    # sum-of-exponentials sampler it replaced: 3,231,480 bytes.
+    # 200 x 100 x 10 rates are 1.6 MB, sorted in place; the rest is one
+    # drop's block of uniforms and one block of geometry.  Traced peak
+    # 2,690,640 bytes; 3,206,560 while a sorted copy was kept
     sc = cn.NetworkScenario(reuse_factor=1, antennas=100)
     tracemalloc.start()
     try:
@@ -438,7 +439,51 @@ def test_rate_distribution_memory_is_the_pooled_rates():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3_231_480
+    assert peak < 2_700_000
+
+
+def test_rate_distribution_of_given_samples_leaves_them_unchanged():
+    samples = np.array([[3.0, 1.0], [2.0, 0.5]])
+    dist = cn.RateDistribution(samples)
+    assert np.array_equal(samples, [[3.0, 1.0], [2.0, 0.5]])
+    assert np.array_equal(dist.samples, [0.5, 1.0, 2.0, 3.0])
+
+
+# The network stream, pinned: math.fsum of the values, then 6 evenly
+# spaced entries (quantiles of the sorted pooled rates).  A change of any
+# draw moves them far beyond rtol; they were recorded before the
+# interference kernel moved into `sinrdist`, and did not move with it.
+PINNED_STREAM = {
+    "reuse 1": [70754515465.58269, 18697.368753272418, 288406.2616811836,
+                491076.77494613285, 1437151.5519267828, 6082639.60314146,
+                103238458.07900794],
+    "reuse 7": [38673831201.33995, 19726.604712713026, 413066.0548214304,
+                1129606.3794149056, 3526240.9724084307, 7754408.909705626,
+                22307774.266772646],
+    "stored drop": [15156992033.826927, 1929654.3780953668,
+                    1897127.130862811, 1320729.3841357685,
+                    1759969.2091883998, 2866878.1775122276,
+                    1650067.4859174502],
+}
+
+
+def test_network_stream_is_pinned():
+    def fingerprint(values):
+        values = values.ravel()
+        picks = np.linspace(0, values.size - 1, 6).astype(int)
+        return [math.fsum(values)] + values[picks].tolist()
+
+    ofdm = cn.OfdmParams()
+    got = {}
+    for reuse in (1, 7):
+        sc = cn.NetworkScenario(reuse_factor=reuse, antennas=20)
+        got[f"reuse {reuse}"] = fingerprint(cn.rate_distribution(
+            sc, ofdm, 3, 300, np.random.default_rng(2101)).samples)
+    sc = cn.NetworkScenario(reuse_factor=1, antennas=20)
+    got["stored drop"] = fingerprint(cn.net_rate_samples(
+        sc, ofdm, _stored_drop(), np.random.default_rng(2102), samples=300))
+    for key, want in PINNED_STREAM.items():
+        np.testing.assert_allclose(got[key], want, rtol=1e-12, err_msg=key)
 
 
 @pytest.mark.parametrize("kwargs, name", [

@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -83,19 +85,6 @@ def mgf_closed(model, s):
     if cond < _CANCEL_LIMIT:
         return min(1.0, max(0.0, value))
     return min(1.0, max(0.0, sd.mgf_weighted_sum(model, [s], [1.0])))
-
-
-def sample_sinr_limit(model, rng, size=None):
-    """Draw the p_u -> infinity limit X/Z (requires interference)."""
-    if model.interference.is_empty:
-        raise ValueError("X/Z undefined without interference")
-    count = 1 if size is None else int(size)
-    x = sd._erlang_draws(rng, count, model.desired.shape, model.desired.scale)
-    rates = model.interference.rates()
-    u = rng.random((count, rates.size))
-    z = -(np.log(u) * rates).sum(axis=1)
-    out = x / z
-    return float(out[0]) if size is None else out
 
 
 def test_desired_power_dist_validation():
@@ -349,7 +338,8 @@ def test_remark1_high_snr_limit_in_distribution():
     model_hi = sd.make_sinr_model(hi, fad, 0, 0)
     n = 100_000
     a = sd.sample_sinr(model_hi, np.random.default_rng(3), size=n)
-    b = sample_sinr_limit(model_hi, np.random.default_rng(4), size=n)
+    b = sd.sample_sinr(replace(model_hi, p_u=math.inf),
+                       np.random.default_rng(4), size=n)
     stat = ks_two_sample(a, b)
     assert stat < 1.628 * math.sqrt(2.0 / n)
 
@@ -358,3 +348,31 @@ def test_sample_sinr_scalar_mode():
     _, _, model = scenario1_model()
     val = sd.sample_sinr(model, np.random.default_rng(9))
     assert isinstance(val, float) and val >= 0.0
+
+
+@pytest.mark.parametrize("cells", [4, 1])
+def test_sample_sinr_at_infinite_power_is_x_over_z(cells):
+    # drawn as p_u X / (p_u Z + 1), this gave NaN with and without
+    # interference (inf / inf, and inf / (inf * 0 + 1))
+    _, _, model = scenario1_model(cells=cells, p_u=math.inf)
+    n, nu = 1000, model.desired.shape
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sd.sample_sinr(model, np.random.default_rng(5), size=n)
+    rng = np.random.default_rng(5)
+    x = model.desired.scale * rng.standard_gamma(nu, size=n)
+    gains = model.interference.rates()
+    z = -(np.log(rng.random((n, gains.size))) * gains).sum(axis=1)
+    if cells == 1:
+        assert (got == math.inf).all()
+    else:
+        np.testing.assert_allclose(got, x / z, rtol=1e-14)
+
+
+def test_sample_sinr_does_not_depend_on_the_row_block(monkeypatch):
+    _, _, model = scenario1_model()
+    want = sd.sample_sinr(model, np.random.default_rng(6), size=1000)
+    for rows in (1, 7, sd._ROWS):
+        monkeypatch.setattr(sd, "_ROWS", rows)
+        got = sd.sample_sinr(model, np.random.default_rng(6), size=1000)
+        assert np.array_equal(got, want)
