@@ -11,10 +11,10 @@ from .fading import (CharacteristicExpansion, InterferenceProfile,
                      characteristic_coefficients, load_fading_text,
                      save_fading_text, symmetric_fading)
 from .sinrdist import (DesiredPowerDist, SinrModel, cdf_x, make_sinr_model,
-                       mgf_sinr, mgf_sinr_high_snr, pdf_x, pdf_z, sample_sinr,
+                       mgf_sinr, mgf_sinr_high_snr, pdf_x, sample_sinr,
                        sinr_cdf_quadrature)
 from .closedform import (ModulationScheme, QualityLog, RateResult,
-                         cell_sum_rate, outage_exact,
+                         cell_sum_rate, log_outage_exact, outage_exact,
                          outage_small_threshold, rate_by_quadrature,
                          rate_exact, rate_lower_bound, ser_approx,
                          ser_exact, ser_high_snr)

@@ -16,8 +16,9 @@ Hamdi's integral over the product-form MGF of the interference
 (`_product_form_integral`), the SER, its floor and its approximation are
 each one trapezoid sum of the SINR's count-law CDF over a fixed rule
 (`mgf_weighted_sum`), and the outage is the tail of a Poisson plus
-negative-binomial count (`sinrdist._count_tail`): all read only the gains,
-with no guard, no adaptive integral and no partial-fraction weights.
+negative-binomial count (`sinrdist._count_tail`), and its logarithm is the
+CDF arbiter's saddle-point sum (`sinrdist._log_cdf`): all read only the
+gains, with no guard, no adaptive integral and no partial-fraction weights.
 """
 
 import math
@@ -27,7 +28,8 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .sinrdist import _count_tail, make_sinr_model, mgf_weighted_sum
+from .sinrdist import (_cdf_edge, _count_tail, _log_cdf, make_sinr_model,
+                       mgf_weighted_sum)
 from .specfun import (_ei_moment_closed, _ei_moment_sequence,
                       _log_moment_normalized, digamma_int, tricomi_u)
 # unused here; bound because benchmark/tracing.py wraps them by name
@@ -48,6 +50,7 @@ __all__ = [
     "ser_approx",
     "outage_exact",
     "outage_small_threshold",
+    "log_outage_exact",
 ]
 
 LOG2E = 1.0 / math.log(2.0)
@@ -396,8 +399,9 @@ def outage_exact(config, fading, expansion, user, cell, gamma_th):
     exponential of mean mu is geometric with ratio c mu / (1 + c mu).  So
     the outage is the tail of Poisson(c / p_u) plus one negative binomial
     per distinct gain: positive terms over the gains, not the expansion."""
-    if gamma_th <= 0:
-        return 0.0
+    edge = _cdf_edge(gamma_th, "gamma_th")
+    if edge is not None:
+        return edge
     c = gamma_th / fading.direct_gain(cell, user)
     return _count_tail(c / config.transmit_snr, expansion.tau,
                        c * expansion.mu, config.zf_shape)
@@ -409,3 +413,16 @@ def outage_small_threshold(config, fading, expansion, user, cell, gamma_th):
     the transmit power."""
     return outage_exact(replace(config, transmit_snr=math.inf), fading,
                         expansion, user, cell, gamma_th)
+
+
+def log_outage_exact(config, fading, expansion, user, cell, gamma_th):
+    """ln P{gamma <= gamma_th} from the CDF arbiter's saddle-point sum,
+    which works in the log domain: finite where the outage lies below the
+    double range (ln P = -1386.02 at N = 500, gamma_th = 0.5, where
+    `outage_exact` returns 0.0)."""
+    edge = _cdf_edge(gamma_th, "gamma_th")
+    if edge is not None:
+        return 0.0 if edge else -math.inf
+    model = make_sinr_model(config, fading, user, cell, expansion=expansion)
+    log_v, upper = _log_cdf(model, gamma_th)
+    return float(np.log(-np.expm1(log_v)) if upper else log_v)

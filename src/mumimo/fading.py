@@ -5,8 +5,8 @@ sum of independent exponentials whose rates are the cross-cell large-scale
 gains.  This module groups those gains into distinct values with
 multiplicities, the law (mu, tau) that every metric reads.  Its
 partial-fraction ("characteristic") coefficients are built only when first
-read, by the closed rate sum and by the density that the CDF arbiter
-integrates; the rate's fallback reads the gains.
+read, by the closed rate sum; the rate's fallback and the CDF arbiter read
+the gains.
 """
 
 import warnings
@@ -122,7 +122,7 @@ class CharacteristicExpansion:
     multiplicities tau_m, E e^{sZ} = prod_m (1 - mu_m s)^-tau_m.
 
     Its partial-fraction weights `chi` are built on first read: only the
-    closed rate sum, the density `pdf_z` and `mgf` use them.
+    closed rate sum and `mgf` use them.
     """
 
     mu: np.ndarray
@@ -131,11 +131,6 @@ class CharacteristicExpansion:
     @property
     def is_empty(self):
         return self.mu.size == 0
-
-    @property
-    def mean(self):
-        """E Z, the sum of the underlying exponential means."""
-        return float(np.sum(self.rates()))
 
     @cached_property
     def chi(self):

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import QuadratureError
+
 __all__ = [
     "QuadratureSpec",
     "QuadratureError",
@@ -67,10 +69,6 @@ class QuadratureSpec:
             raise ValueError("tolerances must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
-
-
-class QuadratureError(RuntimeError):
-    """Raised when the requested tolerance cannot be met."""
 
 
 def _gk15(f, a, b):

@@ -11,10 +11,9 @@ interference kernel also draws the hexagonal network's Z (`cellnet`).
 The CDF of gamma (the outage) and the Erlang CDF are the tail of one
 Poisson plus negative-binomial count over the gains (`_count_tail`), and
 every transform of gamma is that CDF integrated by parts, a fixed trapezoid
-sum of positive terms.  Only the CDF arbiter `sinr_cdf_quadrature` reads the
-partial-fraction density `pdf_z`, and so the expansion's weights chi; the
-rate's fallback integrates the product-form MGF of Z instead
-(`closedform.rate_by_quadrature`).
+sum of positive terms.  The CDF arbiter `sinr_cdf_quadrature` inverts the
+transform of X - gamma_th Z instead, one fixed trapezoid sum through its
+saddle point (`_log_cdf`); none of these reads the expansion's weights chi.
 """
 
 import math
@@ -25,7 +24,7 @@ import numpy as np
 
 from .fading import CharacteristicExpansion, build_profile, \
     characteristic_coefficients
-from .quadrature import QuadratureSpec, integrate_semi_infinite
+from .errors import QuadratureError
 # unused here; bound because benchmark/tracing.py wraps them by name
 from .specfun import expint_en_scaled, hyp2f0_neg  # noqa: F401
 
@@ -35,7 +34,6 @@ __all__ = [
     "make_sinr_model",
     "pdf_x",
     "cdf_x",
-    "pdf_z",
     "mgf_sinr",
     "mgf_sinr_high_snr",
     "mgf_weighted_sum",
@@ -118,7 +116,7 @@ def _count_tail(lam, tau, odds, nu):
     the rest falls below _TAIL_RTOL of it (M is log-concave, so q falls at
     least as fast as its last ratio), relative to the whole mass.
     """
-    if nu <= 0:
+    if nu <= 0 or lam == math.inf or np.isinf(odds).any():
         return 1.0
     if lam <= 0 and len(tau) == 0:  # M = 0 (also x <= 0 in cdf_x)
         return 0.0
@@ -156,6 +154,9 @@ def _count_tail(lam, tau, odds, nu):
 
 def cdf_x(dist, x):
     """Erlang CDF P{X <= x} = P{Poisson(x / scale) >= shape}."""
+    x = np.asarray(x, dtype=float)
+    if np.isnan(x).any():
+        raise ValueError("cdf_x: x must not be NaN")
     no_gains = np.empty(0)
     out = np.vectorize(lambda v: _count_tail(v / dist.scale, no_gains,
                                              no_gains, dist.shape),
@@ -163,22 +164,12 @@ def cdf_x(dist, x):
     return float(out) if out.ndim == 0 else out
 
 
-def pdf_z(dist, z):
-    """Density of the interference power from the weights `dist.chi`."""
-    if dist.is_empty:
-        raise ValueError("no interference (L = 1): Z is identically zero")
-    z = np.asarray(z, dtype=float)
-    out = np.zeros(z.shape, dtype=np.longdouble)
-    pos = z > 0
-    zp = z[pos]
-    for mu, n, chi in dist.terms():
-        term = np.exp(-zp / mu + (n - 1) * np.log(zp / mu)
-                      - np.longdouble(math.lgamma(n))) / mu
-        out[pos] += chi * term
-        if n == 1:
-            out = np.where(z == 0, out + chi / mu, out)
-    out = out.astype(float)
-    return float(out) if out.ndim == 0 else out
+def _cdf_edge(t, name):
+    """P{gamma <= t} where it is 0 (t <= 0) or 1 (t = inf), else None; a NaN
+    t raises."""
+    if math.isnan(t):
+        raise ValueError(f"{name} must not be NaN")
+    return 0.0 if t <= 0 else 1.0 if t == math.inf else None
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +222,12 @@ def mgf_sinr(model, s):
     paper's binomial sum of 2F0 terms cancels catastrophically for large
     N - K, so it serves only as a reference in the tests.
     """
-    if s < 0:
-        raise ValueError("mgf_sinr requires s >= 0")
+    if not s >= 0:
+        raise ValueError(f"mgf_sinr requires s >= 0, got s = {s}")
     if s == 0:
         return 1.0
+    if s == math.inf:  # P{gamma = 0} = 0
+        return 0.0
     return min(1.0, max(0.0, mgf_weighted_sum(model, [s], [1.0])))
 
 
@@ -280,26 +273,78 @@ def sample_sinr(model, rng, size=None):
     return float(x[0]) if size is None else x
 
 
-_CDF_SPEC = QuadratureSpec(relative_tolerance=1e-9, absolute_tolerance=1e-300)
+_NODES = 64              # trapezoid nodes per numpy block of the arbiter
+_NODE_BUDGET = 1 << 15   # nodes before the arbiter gives up
+
+
+def _log_cdf(model, threshold):
+    """(ln v, upper): v = P{gamma <= t}, t = threshold, or 1 - P if upper,
+    from the gains alone, by the saddle-point inversion of Rice (1980) and
+    Helstrom (1978): gamma <= t is Y = X - t Z <= y = t / p_u, and
+    E e^{-sY} = (1 + beta s)^-nu prod_m (1 - t mu_m s)^-tau_m.  phi(s) =
+    s y + ln E e^{-sY} - ln |s| is convex on each side of 0, and of its
+    saddle points (P on the right, 1 - P on the left) the lower one is
+    summed on its vertical line by the trapezoid rule, step
+    min(0.3 / sqrt(phi''), 2 pi d / 40) for d the distance to the nearest
+    singularity, so the error falls like e^{-2 pi d / h} (Trefethen &
+    Weideman 2014).  The terms decay only like |u|^-(nu + sum tau + 1), so
+    past a node budget it raises QuadratureError.
+    """
+    nu, beta, tau = model.desired.shape, model.desired.scale, \
+        model.interference.tau
+    y, a = threshold / model.p_u, threshold * model.interference.mu
+    right = 1.0 / a.max() if a.size else math.inf
+    hi = min(right, (nu + 1) / y) if y else right  # phi' > y - (nu + 1)/s
+    if hi == math.inf:  # X / 0 = inf: no outage
+        return -math.inf, False
+    e = np.concatenate(([nu], tau, [1.0]))
+
+    def slopes(s):  # -d/ds of each log factor of e^{phi(s)}, per unit e
+        return np.concatenate(([beta / (1.0 + beta * s)], -a / (1.0 - a * s),
+                               [1.0 / s]))
+
+    def saddle(lo, hi):  # phi' = y - e . slopes rises from -inf to +inf
+        s = 0.5 * (lo + hi)
+        for _ in range(200):  # any s in (lo, hi) gives the same integral
+            c = slopes(s)
+            step = (y - e @ c) / (e @ (c * c))
+            if abs(step) <= 1e-10 * abs(s):
+                break
+            lo, hi = (s, hi) if step < 0 else (lo, s)
+            s = s - step if lo < s - step < hi else 0.5 * (lo + hi)
+        # phi(s) in extended precision: ln v is no more accurate than it,
+        # and its terms reach 1e3 at N = 500
+        ld = np.longdouble(s)
+        return float(s), (ld * y - nu * np.log1p(beta * ld) - np.log(abs(ld))
+                          - np.log1p(-a * ld) @ tau)
+
+    (sigma, base), upper = min((saddle(0.0, hi), False),
+                               (saddle(-1.0 / beta, 0.0), True),
+                               key=lambda side: side[0][1])
+    c = slopes(sigma)
+    d = min(abs(sigma), sigma + 1.0 / beta, right - sigma)
+    h = min(0.3 / math.sqrt(e @ (c * c)), 2.0 * math.pi * d / 40.0)
+    total = 0.5  # sum of Re e^{phi(sigma + i k h) - phi(sigma)}, k >= 0
+    for k in range(1, _NODE_BUDGET, _NODES):
+        u = h * np.arange(k, k + _NODES)
+        w = np.multiply.outer(u, c)
+        size = np.exp(-0.5 * (np.log1p(w * w) @ e))
+        total += float(size @ np.cos(u * y - np.arctan(w) @ e))
+        if size[0] < 1e-18 * total:
+            return base + np.log(h / math.pi * total), upper
+    raise QuadratureError(f"the CDF at threshold {threshold} did not "
+                          f"converge within {_NODE_BUDGET} nodes")
 
 
 def sinr_cdf_quadrature(model, threshold):
-    """P{gamma <= threshold} by integrating the Erlang CDF against pdf_z.
-
-    Quadrature path over the partial-fraction density, kept independent of
-    the count law behind the closed-form outage so the two can arbitrate
-    each other.  The tolerance is relative only, so tails far below 1e-12
-    are resolved too.
-    """
-    if threshold < 0:
-        return 0.0
+    """P{gamma <= threshold}, the arbiter of the count-law outage: for
+    L >= 2 the saddle-point sum `_log_cdf`, which reads neither chi nor the
+    count law and raises QuadratureError where its terms decay too slowly
+    (exponent 5 or less); without interference the Erlang CDF."""
+    edge = _cdf_edge(threshold, "threshold")
+    if edge is not None:
+        return edge
     if model.interference.is_empty:
         return cdf_x(model.desired, threshold / model.p_u)
-    t0 = 1.0 / model.p_u
-    dist = model.interference
-
-    def f(z):
-        return pdf_z(dist, z) * cdf_x(model.desired, threshold * (z + t0))
-
-    return min(1.0, max(0.0, integrate_semi_infinite(
-        f, 0.0, _CDF_SPEC, scale=dist.mean)))
+    log_v, upper = _log_cdf(model, threshold)
+    return float(-np.expm1(log_v) if upper else np.exp(log_v))

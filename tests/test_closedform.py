@@ -11,9 +11,9 @@ from mumimo import quadrature, specfun
 from mumimo.fading import (CharacteristicExpansion, LargeScaleFading,
                            SystemConfig, build_profile,
                            characteristic_coefficients, symmetric_fading)
-from mumimo.quadrature import (QuadratureSpec, integrate,
+from mumimo.quadrature import (QuadratureError, QuadratureSpec, integrate,
                                integrate_semi_infinite)
-from test_sinrdist import mgf_closed
+from test_sinrdist import mgf_closed, pdf_z
 
 
 def scenario1(n, a, p_u=10.0, cells=4, k=10):
@@ -82,9 +82,9 @@ def rate_2d_quadrature(cfg, fad, user, cell, rtol=1e-8):
 
     if model.interference.is_empty:
         return inner(0.0) / math.log(2.0)
-    z_scale = max(model.interference.mean, 0.1)
+    z_scale = max(float(model.interference.rates().sum()), 0.1)
     val = integrate_semi_infinite(
-        lambda z: inner(z) * sd.pdf_z(model.interference, z), 0.0,
+        lambda z: inner(z) * pdf_z(model.interference, z), 0.0,
         outer_spec, scale=z_scale)
     return val / math.log(2.0)
 
@@ -543,16 +543,18 @@ def test_ser_mgf_and_bound_run_no_integral_and_read_only_the_gains(
         raise AssertionError("called a refused function")
 
     systems = [scenario1(20, 0.1), distinct_profile(16, 10.0)]
+    drop = network_drop_system()
     mod = cf.ModulationScheme(4)
     fns = (cf.ser_exact, cf.ser_high_snr, cf.ser_approx)
     want = [[fn(*system, mod, 0, 0) for fn in fns]
             + [cf.rate_lower_bound(*system, 0, 0).value]
             for system in systems]
     # no adaptive integral (every one goes through quadrature.integrate),
-    # no partial-fraction density, no node-by-node MGF
-    for module, name in ((quadrature, "integrate"), (sd, "pdf_z"),
-                         (sd, "hyp2f0_neg"), (sd, "expint_en_scaled")):
+    # no read of the partial-fraction weights, no node-by-node MGF
+    for module, name in ((quadrature, "integrate"), (sd, "hyp2f0_neg"),
+                         (sd, "expint_en_scaled")):
         monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(CharacteristicExpansion, "chi", property(refuse))
     sd._cdf.cache_clear()
     for (cfg, fad, _), values in zip(systems, want):
         exp = gains_only(cfg, fad)
@@ -563,6 +565,11 @@ def test_ser_mgf_and_bound_run_no_integral_and_read_only_the_gains(
         for s in (0.5, 2.0):
             assert 0.0 < sd.mgf_sinr(model, s) < 1.0
             assert 0.0 < sd.mgf_sinr_high_snr(model, s) < 1.0
+    model = sd.make_sinr_model(*drop[:2], 0, 0, expansion=drop[2])
+    for gth in (0.03, 0.1):
+        for outage in (cf.outage_exact, cf.outage_small_threshold):
+            assert 0.0 < outage(*drop, 0, 0, gth) < 1.0
+        assert 0.0 < sd.sinr_cdf_quadrature(model, gth) < 1.0
 
 
 def ser_semi_analytic_monte_carlo(cfg, fad, exp, seed, draws=200_000):
@@ -633,6 +640,7 @@ def test_only_the_closed_rate_builds_the_expansion_weights(system):
         assert cf.rate_lower_bound(cfg, fad, exp, 0, 0).value > 0.0
         for mgf in (sd.mgf_sinr, sd.mgf_sinr_high_snr):
             assert 0.0 <= mgf(model, 1.0) <= 1.0
+        assert 0.0 <= sd.sinr_cdf_quadrature(model, 1.0) <= 1.0
         assert "chi" not in vars(exp)
         # the closed rate reads chi first, so its warning, raised as an
         # error here, stops the call before any rate work
@@ -650,12 +658,12 @@ def ser_by_density(model, rule):
     def f(z):
         z = np.asarray(z, dtype=float)
         cond = np.exp(-nu * np.log1p(np.multiply.outer(beta / (z + t0), s)))
-        return sd.pdf_z(model.interference, z) * (cond @ w)
+        return pdf_z(model.interference, z) * (cond @ w)
 
     return integrate_semi_infinite(
         f, 0.0, QuadratureSpec(relative_tolerance=1e-11,
                                absolute_tolerance=1e-300),
-        scale=model.interference.mean)
+        scale=float(model.interference.rates().sum()))
 
 
 @pytest.mark.parametrize("n,a,snr_db", [(100, 1e-3, 40), (60, 0.01, 30)])
@@ -817,6 +825,89 @@ def test_outage_matches_quadrature_cdf_distinct():
         np.testing.assert_allclose(
             cf.outage_exact(cfg, fad, exp, 0, 0, q),
             sd.sinr_cdf_quadrature(model, q), atol=1e-9)
+
+
+def assert_cdf_close(got, want):
+    """Relative 1e-12 on P, or on 1 - P where P > 1/2 and 1 - P >= 1e-9,
+    plus the rounding of such a P on both sides to a double below 1 (whose
+    spacing is 1.1e-16)."""
+    q = 1.0 - want if want > 0.5 and 1.0 - want >= 1e-9 else want
+    assert abs(got - want) <= 1e-12 * q + (q < want) * 2.3e-16, (got, want)
+
+
+@pytest.mark.parametrize("reuse,antennas,seed", [
+    (7, 20, 3), (3, 20, 1), (1, 100, 0)], ids=["reuse7", "reuse3", "reuse1"])
+def test_quadrature_cdf_on_network_drops(reuse, antennas, seed):
+    # 120, 300 and 840 gains whose partial-fraction density is garbage, so
+    # only an arbiter that reads the gains can judge the count law here
+    cfg, fad, exp = network_drop_system(reuse, antennas, seed)
+    model = sd.make_sinr_model(cfg, fad, 0, 0, expansion=exp)
+    for gth in (0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0):
+        assert_cdf_close(sd.sinr_cdf_quadrature(model, gth),
+                         cf.outage_exact(cfg, fad, exp, 0, 0, gth))
+
+
+@pytest.mark.parametrize("cells,k,n", [(2, 1, 1), (2, 2, 4)])
+def test_quadrature_cdf_never_returns_an_unconverged_sum(cells, k, n):
+    # the integrand decays only like |u|^-(nu + sum tau + 1), here |u|^-3
+    # and |u|^-6: the sum converges within its node budget or raises
+    cfg = SystemConfig(cells, k, n, 10.0)
+    fad = symmetric_fading(cells, k, 1.0, 0.3)
+    exp = characteristic_coefficients(build_profile(cfg, fad, 0))
+    model = sd.make_sinr_model(cfg, fad, 0, 0, expansion=exp)
+    for gth in (0.1, 1.0, 10.0):
+        try:
+            got = sd.sinr_cdf_quadrature(model, gth)
+        except QuadratureError:
+            continue
+        assert_cdf_close(got, cf.outage_exact(cfg, fad, exp, 0, 0, gth))
+
+
+def test_log_outage_matches_references_below_the_double_range():
+    # scenario 1 at N = 500, where outage_exact returns 0.0; 30-digit
+    # references of the benchmark (benchmark/references.json)
+    mp = pytest.importorskip("mpmath")
+    cfg, fad, exp = scenario1(500, 0.1)
+    for gth, ref in ((0.5, "1.14304637434526526749329e-602"),
+                     (1.0, "2.280896757643280842970729e-465"),
+                     (2.0, "3.265444163418191015582413e-337")):
+        assert cf.outage_exact(cfg, fad, exp, 0, 0, gth) == 0.0
+        got = cf.log_outage_exact(cfg, fad, exp, 0, 0, gth)
+        assert abs(got - float(mp.log(mp.mpf(ref)))) <= 1e-12
+    # P on either side of 1/2, and without interference (-inf at p_u = inf)
+    cfg, fad, exp = scenario1(20, 0.1)
+    cfg1, fad1 = SystemConfig(1, 4, 8, 2.0), symmetric_fading(1, 4)
+    empty = CharacteristicExpansion.empty()
+    for system, gth in (((cfg, fad, exp), 1.0), ((cfg, fad, exp), 6.0),
+                        ((cfg1, fad1, empty), 1.0)):
+        np.testing.assert_allclose(
+            math.exp(cf.log_outage_exact(*system, 0, 0, gth)),
+            cf.outage_exact(*system, 0, 0, gth), rtol=1e-12)
+    assert cf.log_outage_exact(replace(cfg1, transmit_snr=math.inf), fad1,
+                               empty, 0, 0, 1.0) == -math.inf
+
+
+@pytest.mark.parametrize("name", ["outage_exact", "outage_small_threshold",
+                                  "log_outage_exact", "sinr_cdf_quadrature",
+                                  "cdf_x", "mgf_sinr"])
+def test_infinite_argument_is_the_limit_and_nan_names_itself(name):
+    cfg, fad, exp = scenario1(20, 0.1)
+    model = sd.make_sinr_model(cfg, fad, 0, 0, expansion=exp)
+    call, at_inf, arg = {
+        "outage_exact": (lambda v: cf.outage_exact(cfg, fad, exp, 0, 0, v),
+                         1.0, "gamma_th"),
+        "outage_small_threshold": (lambda v: cf.outage_small_threshold(
+            cfg, fad, exp, 0, 0, v), 1.0, "gamma_th"),
+        "log_outage_exact": (lambda v: cf.log_outage_exact(
+            cfg, fad, exp, 0, 0, v), 0.0, "gamma_th"),
+        "sinr_cdf_quadrature": (lambda v: sd.sinr_cdf_quadrature(model, v),
+                                1.0, "threshold"),
+        "cdf_x": (lambda v: sd.cdf_x(model.desired, v), 1.0, "x"),
+        "mgf_sinr": (lambda v: sd.mgf_sinr(model, v), 0.0, "s"),
+    }[name]
+    assert call(math.inf) == at_inf
+    with pytest.raises(ValueError, match=rf"\b{arg}\b"):
+        call(math.nan)
 
 
 def test_outage_no_interference_is_erlang_cdf():
