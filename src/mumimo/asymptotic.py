@@ -1,7 +1,7 @@
 """Large-antenna-array laws: the deterministic SIR equivalent at fixed
 antenna/user ratio, the 1/N power-scaling limits, and the degrees-of-freedom
-solver (how large must N/K be before noise, not interference, limits the
-rate).
+antenna ratio in closed form (how large N/K must be for the power-scaled
+rate to reach a given fraction of its ultimate value).
 """
 
 import math
@@ -63,35 +63,23 @@ def power_scaled_fixed_ratio_rate(fading, cell, user, e_u, kappa):
         fading, cell, user, e_u, kappa))
 
 
-def required_kappa(fading, cell, user, e_u, eta, tol=1e-9):
+def required_kappa(fading, cell, user, e_u, eta):
     """Smallest kappa > 1 whose fixed-ratio rate reaches eta times the
-    ultimate rate log2(1 + beta E_u).
-
-    The left side is continuous and strictly increasing in kappa, from 0 at
-    kappa -> 1+ toward the ultimate rate as kappa -> infinity, so bisection
-    always terminates for eta in (0, 1).
-    """
+    ultimate rate log2(1 + beta E_u): the root of beta E_u (kappa - 1) /
+    (E_u T + kappa) = g, g = e^{eta L} - 1, L = ln(1 + beta E_u), T the
+    interference trace.  As beta E_u - g = (1 + beta E_u)(1 - e^{-(1 - eta)
+    L}), it is E_u / (1 + beta E_u) (beta + g T) / (1 - e^{-(1 - eta) L}),
+    which neither cancels as eta -> 1 nor overflows before kappa does."""
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must lie in (0, 1)")
-    target = eta * power_scaled_limit_rate(fading, cell, user, e_u)
-
-    def gap(kappa):
-        return power_scaled_fixed_ratio_rate(fading, cell, user, e_u,
-                                             kappa) - target
-
-    lo = 1.0 + 1e-12
-    hi = 2.0
-    while gap(hi) < 0.0:
-        hi *= 2.0
-        if hi > 1e12:
-            raise RuntimeError("required_kappa: no bracket below 1e12")
-    while hi - lo > tol * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if gap(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    if not 0.0 < e_u < math.inf:
+        raise ValueError("e_u must be positive and finite")
+    beta = fading.direct_gain(cell, user)
+    log_ult = math.log1p(beta * e_u)
+    target = math.expm1(eta * log_ult)
+    return (e_u / (1.0 + beta * e_u)
+            * (beta + target * _interference_trace(fading, cell))
+            / -math.expm1(-(1.0 - eta) * log_ult))
 
 
 def kappa_to_antennas(kappa, users_per_cell):

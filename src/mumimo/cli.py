@@ -72,7 +72,7 @@ CONFIG_KEYS = {
     "eta_list": (_parse_float_list, (0.8, 0.9), "target fractions of the "
                                                 "ultimate rate"),
     "r_inf_list": (_parse_float_list, (1.0, 2.0, 3.0, 4.0, 5.0, 6.0),
-                   "ultimate rates for the DoF solver"),
+                   "ultimate rates for the DoF antenna ratio"),
     "mc_metric": (str, "rate", "montecarlo mode: rate|ser|outage"),
     "ser_mode": (str, "semi_analytic", "semi_analytic|symbol"),
     "reuse_list": (_parse_int_list, (1, 3, 7), "frequency reuse factors"),
@@ -173,6 +173,12 @@ def resolve_config(file_values=None, overrides=None):
         if isfinite(v) and not (0 < p_u < inf and 1.0 / p_u < inf):
             errors.append(f"snr_db_list value {v} dB must give a finite, "
                           f"positive linear SNR with a finite reciprocal")
+    beta_direct = merged["beta_direct"]
+    if 0 < beta_direct < inf:
+        for r in merged["r_inf_list"]:
+            if isfinite(r) and not _dof_energy(r, beta_direct) < inf:
+                errors.append(f"r_inf_list value {r} must give a finite "
+                              f"E_u = (2^r - 1)/beta_direct")
     if not (0 < merged["exclusion_radius"] < merged["cell_radius"]
             < merged["interference_horizon"]):
         errors.append("need 0 < exclusion_radius < cell_radius < "
@@ -252,6 +258,15 @@ def _db_to_linear(snr_db):
         return inf
 
 
+def _dof_energy(r_inf, beta):
+    """E_u = (2^r_inf - 1)/beta, whose ultimate rate is r_inf; inf where
+    2^r_inf leaves the float range."""
+    try:
+        return (2.0 ** r_inf - 1.0) / beta
+    except OverflowError:
+        return inf
+
+
 def _symmetric(cfg, a):
     return symmetric_fading(cfg["cells"], cfg["users"], cfg["beta_direct"], a)
 
@@ -325,7 +340,7 @@ def _dof_point(cfg, quality, index, point):
     eta, a, r_inf = point
     fad = _symmetric(cfg, a)
     k, l = cfg["user_index"], cfg["cell_index"]
-    e_u = (2.0 ** r_inf - 1.0) / fad.direct_gain(l, k)
+    e_u = _dof_energy(r_inf, fad.direct_gain(l, k))
     kappa = asymptotic.required_kappa(fad, l, k, e_u, eta)
     return [(eta, a, r_inf, e_u, kappa,
              asymptotic.kappa_to_antennas(kappa, cfg["users"]))]

@@ -5,11 +5,12 @@ outage probability.
 Every expression is exact for the post-ZF SINR law, but the closed rate
 contains binomial-weighted alternating sums that cancel catastrophically
 once N - K is large.  They are accumulated in extended precision with a
-running condition estimate (sum |terms| / |sum|) and a propagated error
-estimate that includes each Ei-moment kernel's own (condition x 2.3e-16).
-The closed rate runs no quadrature: it is accepted whole, or, when either
-estimate exceeds its guard, the whole call goes to `rate_by_quadrature`
-and the event is recorded in the caller's QualityLog.
+propagated error estimate that includes each Ei-moment kernel's own
+(condition x 2.3e-16) and the rounding of every term (sum |terms| x the
+long-double epsilon).  The closed rate runs no quadrature: it is accepted
+whole when that estimate is at most 1e-8 relative, the special-function
+layer's oracle contract; otherwise the whole call goes to
+`rate_by_quadrature` and the event is recorded in the caller's QualityLog.
 
 The fallback rate and the Jensen bound are one trapezoid sum each of
 Hamdi's integral over the product-form MGF of the interference
@@ -54,7 +55,6 @@ __all__ = [
 ]
 
 LOG2E = 1.0 / math.log(2.0)
-_CANCEL_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -226,7 +226,7 @@ _EPS_LD = float(np.finfo(np.longdouble).eps)
 # error is its condition estimate times this
 _EI_RELERR_PER_COND = 2.3e-16
 _U_RELERR = 1e-14           # terminating Tricomi-U sum of positive terms
-_RATE_RELERR_LIMIT = 1e-6   # accepted propagated error of the closed rate
+_RATE_RELERR_LIMIT = 1e-8   # accepted propagated error of the closed rate
 
 
 def _rate_general(config, beta, expansion):
@@ -307,8 +307,9 @@ def rate_exact(config, fading, expansion, user, cell, quality=None):
     """Exact ergodic uplink rate of one user, in bits/s/Hz.
 
     Uses the general formula (labelled `exact_distinct` when every
-    eigenvalue is simple), and the quadrature arbiter when the sums are too
-    ill-conditioned (large N - K) or an eigenvalue exceeds the direct gain.
+    eigenvalue is simple) when its propagated error estimate is at most
+    1e-8 relative, and the product-form integral otherwise: when the sums
+    cancel (large N - K) or an eigenvalue exceeds the direct gain.
     """
     _finite_snr(config, "rate_exact")
     beta = fading.direct_gain(cell, user)
@@ -318,8 +319,7 @@ def rate_exact(config, fading, expansion, user, cell, quality=None):
     value, cond, rel_err = _rate_general(config, beta, expansion)
     method = ("exact_distinct" if np.all(expansion.tau == 1)
               else "exact_general")
-    if (math.isfinite(value) and cond <= _CANCEL_LIMIT
-            and rel_err <= _RATE_RELERR_LIMIT):
+    if math.isfinite(value) and rel_err <= _RATE_RELERR_LIMIT:
         return RateResult(value, method)
     _note(quality, f"rate_exact: cancellation guard tripped "
                    f"(condition {cond:.3g}, error estimate {rel_err:.3g}); "

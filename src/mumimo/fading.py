@@ -111,10 +111,6 @@ class InterferenceProfile:
     def is_empty(self):
         return self.diagonal.size == 0
 
-    @property
-    def num_distinct(self):
-        return self.mu.size
-
 
 @dataclass(frozen=True)
 class CharacteristicExpansion:
@@ -148,8 +144,8 @@ class CharacteristicExpansion:
         if gap < NEAR_DEGENERATE_TOL:
             warnings.warn(
                 "nearly degenerate eigenvalues (relative gap "
-                f"{gap:.2e}); the expansion may be ill-conditioned -- "
-                "consider build_profile(..., merge_tol=...)", RuntimeWarning)
+                f"{gap:.2e}); the expansion may be ill-conditioned",
+                RuntimeWarning)
         chi = []
         ld = np.longdouble
         for m in range(mu.size):
@@ -213,15 +209,14 @@ def _min_relative_gap(mu):
     return float(np.min((mu[:-1] - mu[1:]) / mu[:-1])) if mu.size > 1 else 1.0
 
 
-def build_profile(config, fading, home_cell, merge_tol=None):
+def build_profile(config, fading, home_cell):
     """Collect cross-cell gains into an InterferenceProfile.
 
-    Gains whose relative difference is below CLUSTER_TOL are one eigenvalue.
-    `merge_tol` optionally widens that threshold, trading a perturbation of
-    the diagonal for a better-conditioned expansion (the "merge" escape
-    hatch for nearly-degenerate profiles).  Only the partial-fraction
-    weights, and so the closed rate, need it: the other metrics read the
-    gains themselves and need no merge.
+    Gains whose relative difference is within CLUSTER_TOL are one
+    eigenvalue; every other gain is kept exactly, however close.  A
+    near-degenerate pair ill-conditions only the partial-fraction weights,
+    which warn when first read; the other metrics read the gains
+    themselves.
     """
     beta = fading.beta
     l = home_cell
@@ -230,11 +225,10 @@ def build_profile(config, fading, home_cell, merge_tol=None):
     if diag.size == 0:
         return InterferenceProfile(l, diag, np.array([]),
                                    np.array([], dtype=int))
-    tol = CLUSTER_TOL if merge_tol is None else float(merge_tol)
     values = np.sort(diag)[::-1]
     mu, tau = [], []
     for v in values:
-        if mu and (mu[-1] - v) <= tol * mu[-1]:
+        if mu and (mu[-1] - v) <= CLUSTER_TOL * mu[-1]:
             tau[-1] += 1
         else:
             mu.append(v)
@@ -250,8 +244,8 @@ def characteristic_coefficients(profile):
         raise ValueError("characteristic_coefficients requires a non-empty "
                          "profile (no interference when L = 1)")
     if _min_relative_gap(profile.mu) < CLUSTER_TOL:
-        raise ValueError("distinct eigenvalues closer than the clustering "
-                         "threshold; rebuild the profile with merge_tol")
+        raise ValueError("distinct eigenvalues closer than CLUSTER_TOL; "
+                         "build_profile groups them into one")
     return CharacteristicExpansion(profile.mu.copy(), profile.tau.copy())
 
 

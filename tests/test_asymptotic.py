@@ -83,6 +83,32 @@ def test_required_kappa_small_eta_tends_to_one():
         asym.required_kappa(fad, 0, 0, 10.0, 1.0)
 
 
+@pytest.mark.parametrize("a", (0.1, 0.5))
+def test_required_kappa_matches_mpmath(a):
+    # the root kappa = E_u (beta + g T) / (beta E_u - g), g = (1 + beta
+    # E_u)^eta - 1, at 50 digits; the bisection it replaced was up to
+    # 2.8e-8 off, and found no bracket at eta = 1 - 1e-8, R_inf = 20
+    mp = pytest.importorskip("mpmath")
+    fad = symmetric_fading(4, 10, 1.0, a)
+    with mp.workdps(50):
+        trace = sum(mp.fsum(mp.mpf(float(b)) for b in fad.beta[0, i])
+                    / fad.users_per_cell for i in (1, 2, 3))
+        for eta in (1e-9, 0.8, 0.9, 0.99, 0.9999, 0.99999999):
+            for r_inf in (0.5, 1.0, 3.0, 6.0, 12.0, 20.0):
+                e_u = 2.0 ** r_inf - 1.0
+                got = asym.required_kappa(fad, 0, 0, e_u, eta)
+                e, g = mp.mpf(e_u), (1 + mp.mpf(e_u)) ** mp.mpf(eta) - 1
+                want = e * (1 + g * trace) / (e - g)
+                assert abs(got / want - 1) <= 1e-13, (eta, r_inf)
+
+
+def test_required_kappa_rejects_bad_energy():
+    fad = symmetric_fading(4, 10, 1.0, 0.1)
+    for e_u in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="e_u"):
+            asym.required_kappa(fad, 0, 0, e_u, 0.8)
+
+
 def test_kappa_to_antennas():
     assert asym.kappa_to_antennas(4.2, 10) == 42
     assert asym.kappa_to_antennas(4.01, 10) == 41

@@ -244,6 +244,32 @@ def test_snr_db_whose_reciprocal_overflows_exits_2(tmp_path, capsys):
     assert (out / "rate.csv").exists()
 
 
+@pytest.mark.parametrize("settings", [
+    ["r_inf_list=1100"],
+    ["r_inf_list=1000", "beta_direct=1e-300"],
+])
+def test_r_inf_whose_energy_overflows_exits_2(tmp_path, capsys, settings):
+    # 2^1100 overflowed with a traceback in the dof sweep
+    out = tmp_path / "o"
+    args = ["dof", "--out", str(out)]
+    for setting in settings:
+        args += ["--set", setting]
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert "r_inf_list" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_dof_at_extreme_eta(tmp_path):
+    # kappa = 1.13e13: the bisection found no bracket below 1e12 and raised
+    out = tmp_path / "o"
+    assert cli.main(["dof", "--out", str(out), "--set", "eta_list=0.99999999",
+                     "--set", "r_inf_list=20",
+                     "--set", "cross_gain_list=0.5"]) == 0
+    _, _, rows = read_csv(out / "dof.csv")
+    assert 1.13e13 < float(rows[0]["kappa_required"]) < 1.14e13
+
+
 def test_exit_code_3_on_cancellation_guard(tmp_path):
     out = tmp_path / "o"
     code = cli.main(["rate", "--out", str(out), "--set", "n_list=500",

@@ -163,20 +163,13 @@ def test_general_algorithm_matches_distinct_formula():
             np.testing.assert_allclose(exp.chi[m][0], direct, rtol=1e-12)
 
 
-def test_near_degenerate_warning_and_merge():
+def test_near_degenerate_warning():
     vals = np.array([1.0, 1.0 + 1e-8, 0.1])
     prof = InterferenceProfile(0, vals, np.sort(vals)[::-1],
                                np.ones(3, dtype=int))
     exp = characteristic_coefficients(prof)
     with pytest.warns(RuntimeWarning):
         exp.chi  # the weights, and their warnings, come on first read
-    # the merge escape hatch produces a multiplicity-2 eigenvalue instead
-    cfg = SystemConfig(2, 3, 6, 1.0)
-    beta = np.ones((2, 2, 3))
-    beta[0, 1, :] = vals
-    merged = build_profile(cfg, LargeScaleFading(beta), 0, merge_tol=1e-6)
-    assert merged.num_distinct == 2
-    assert merged.tau[0] == 2
 
 
 def _cross_gain_fading(cross, cells=4, users=10):
