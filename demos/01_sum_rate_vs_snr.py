@@ -9,8 +9,7 @@ interference scales with the useful signal.
 import numpy as np
 
 from mumimo import (SystemConfig, TrialPlan, build_profile, cell_sum_rate,
-                    characteristic_coefficients, estimate_rate,
-                    rate_lower_bound, symmetric_fading)
+                    estimate_rate, rate_lower_bound, symmetric_fading)
 
 K, L, A = 10, 4, 0.1
 fading = symmetric_fading(L, K, direct=1.0, cross=A)
@@ -20,7 +19,7 @@ print(f"{'SNR dB':>7} {'N':>4} {'exact':>8} {'bound':>8} "
 for n in (10, 40, 100):
     for snr_db in range(-10, 31, 10):
         cfg = SystemConfig(L, K, n, 10 ** (snr_db / 10))
-        expansion = characteristic_coefficients(build_profile(cfg, fading, 0))
+        expansion = build_profile(cfg, fading, 0)
         exact = cell_sum_rate(cfg, fading, 0, expansion)
         bound = K * rate_lower_bound(cfg, fading, expansion, 0, 0).value
         sim = estimate_rate(cfg, fading, TrialPlan(2000, base_seed=snr_db))
@@ -38,8 +37,7 @@ if plt is not None:
         rates = []
         for snr_db in snrs:
             cfg = SystemConfig(L, K, n, 10 ** (snr_db / 10))
-            expansion = characteristic_coefficients(
-                build_profile(cfg, fading, 0))
+            expansion = build_profile(cfg, fading, 0)
             rates.append(cell_sum_rate(cfg, fading, 0, expansion))
         plt.plot(snrs, rates, label=f"N = {n}")
     plt.xlabel("SNR [dB]")

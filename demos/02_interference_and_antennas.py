@@ -7,7 +7,7 @@ N, where the alternating closed-form sums are no longer representable).
 """
 
 from mumimo import (QualityLog, SystemConfig, build_profile, cell_sum_rate,
-                    characteristic_coefficients, symmetric_fading)
+                    symmetric_fading)
 
 K, L, SNR = 10, 4, 10.0
 quality = QualityLog()
@@ -18,7 +18,7 @@ for n in (10, 20, 50, 100, 200, 500):
     for a in (0.1, 0.3, 0.5):
         fading = symmetric_fading(L, K, 1.0, a)
         cfg = SystemConfig(L, K, n, SNR)
-        expansion = characteristic_coefficients(build_profile(cfg, fading, 0))
+        expansion = build_profile(cfg, fading, 0)
         row.append(cell_sum_rate(cfg, fading, 0, expansion, quality=quality))
     print(f"{n:>4} " + " ".join(f"{v:7.2f}" for v in row))
 
@@ -28,7 +28,7 @@ for n in (10, 50, 500):
     for a in (0.1, 0.5):
         fading = symmetric_fading(L, K, 1.0, a)
         cfg = SystemConfig(L, K, n, SNR)
-        expansion = characteristic_coefficients(build_profile(cfg, fading, 0))
+        expansion = build_profile(cfg, fading, 0)
         vals[a] = cell_sum_rate(cfg, fading, 0, expansion, quality=quality)
     print(f"  N={n:>3}: {100 * (1 - vals[0.5] / vals[0.1]):5.1f}%")
 

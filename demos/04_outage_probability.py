@@ -4,14 +4,14 @@ post-ZF SINR, plus the SNR-independent small-threshold asymptote.
 
 import numpy as np
 
-from mumimo import (SystemConfig, build_profile, characteristic_coefficients,
-                    make_sinr_model, outage_exact, outage_small_threshold,
-                    sample_sinr, symmetric_fading)
+from mumimo import (SystemConfig, build_profile, make_sinr_model,
+                    outage_exact, outage_small_threshold, sample_sinr,
+                    symmetric_fading)
 
 K, L, A, N = 10, 4, 0.1, 20
 fading = symmetric_fading(L, K, 1.0, A)
 cfg = SystemConfig(L, K, N, 10.0)
-expansion = characteristic_coefficients(build_profile(cfg, fading, 0))
+expansion = build_profile(cfg, fading, 0)
 model = make_sinr_model(cfg, fading, 0, 0, expansion=expansion)
 draws = sample_sinr(model, np.random.default_rng(1), size=200_000)
 

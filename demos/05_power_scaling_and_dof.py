@@ -8,8 +8,7 @@ to beta (kappa - 1) / sum of mean cross gains, independent of power.
 """
 
 from mumimo import (SystemConfig, TrialPlan, build_profile,
-                    characteristic_coefficients, deterministic_sir,
-                    estimate_rate, kappa_to_antennas,
+                    deterministic_sir, estimate_rate, kappa_to_antennas,
                     power_scaled_limit_rate, rate_exact, required_kappa,
                     symmetric_fading)
 
@@ -19,16 +18,10 @@ fading = symmetric_fading(L, K, 1.0, A)
 print("per-user rate with p_u = E_u/N (converges) vs p_u = E_u (grows):")
 print(f"{'N':>5} {'p_u=E_u/N':>10} {'p_u=E_u':>9}")
 for n in (20, 50, 100, 200, 500):
-    scaled = rate_exact(
-        SystemConfig(L, K, n, E_U / n), fading,
-        characteristic_coefficients(
-            build_profile(SystemConfig(L, K, n, E_U / n), fading, 0)),
-        0, 0).value
-    fixed = rate_exact(
-        SystemConfig(L, K, n, E_U), fading,
-        characteristic_coefficients(
-            build_profile(SystemConfig(L, K, n, E_U), fading, 0)),
-        0, 0).value
+    scaled, fixed = (
+        rate_exact(cfg, fading, build_profile(cfg, fading, 0), 0, 0).value
+        for cfg in (SystemConfig(L, K, n, E_U / n),
+                    SystemConfig(L, K, n, E_U)))
     print(f"{n:>5} {scaled:>10.3f} {fixed:>9.3f}")
 print(f"limit: {power_scaled_limit_rate(fading, 0, 0, E_U):>10.3f} "
       f"(= log2(1 + beta E_u))")

@@ -6,8 +6,8 @@ and frequency reuse.
 """
 
 from . import quadrature, specfun
-from .fading import (CharacteristicExpansion, InterferenceProfile,
-                     LargeScaleFading, SystemConfig, build_profile,
+from .fading import (CharacteristicExpansion, LargeScaleFading,
+                     SystemConfig, build_profile,
                      characteristic_coefficients, load_fading_text,
                      save_fading_text, symmetric_fading)
 from .sinrdist import (DesiredPowerDist, SinrModel, cdf_x, make_sinr_model,

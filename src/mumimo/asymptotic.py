@@ -83,5 +83,9 @@ def required_kappa(fading, cell, user, e_u, eta):
 
 
 def kappa_to_antennas(kappa, users_per_cell):
-    """Smallest integer antenna count achieving the ratio."""
-    return int(math.ceil(kappa * users_per_cell))
+    """Smallest integer antenna count achieving the ratio; ValueError when
+    kappa K is not finite."""
+    antennas = kappa * users_per_cell
+    if not math.isfinite(antennas):
+        raise ValueError(f"antenna count kappa K = {antennas} is not finite")
+    return int(math.ceil(antennas))

@@ -22,9 +22,10 @@ import numpy as np
 
 from . import asymptotic, cellnet, closedform, montecarlo
 from .closedform import ModulationScheme, QualityLog
-from .fading import (build_profile, characteristic_coefficients,
-                     load_fading_text, symmetric_fading, CharacteristicExpansion)
-from .fading import SystemConfig
+from .fading import (SystemConfig, build_profile, load_fading_text,
+                     symmetric_fading)
+# unused here; bound because benchmark/tracing.py wraps it by name
+from .fading import characteristic_coefficients  # noqa: F401
 
 __all__ = ["main", "run_experiment", "run_figure", "parse_config_text",
            "serialize_config", "resolve_config", "ConfigError"]
@@ -279,10 +280,7 @@ def _system(cfg, n, a, p_u):
         fad = load_fading_text(cfg["fading_file"])
     else:
         fad = _symmetric(cfg, a)
-    profile = build_profile(sc, fad, cfg["cell_index"])
-    expansion = (CharacteristicExpansion.empty() if profile.is_empty
-                 else characteristic_coefficients(profile))
-    return sc, fad, expansion
+    return sc, fad, build_profile(sc, fad, cfg["cell_index"])
 
 
 def _point_seed(base_seed, index):
@@ -342,8 +340,12 @@ def _dof_point(cfg, quality, index, point):
     k, l = cfg["user_index"], cfg["cell_index"]
     e_u = _dof_energy(r_inf, fad.direct_gain(l, k))
     kappa = asymptotic.required_kappa(fad, l, k, e_u, eta)
-    return [(eta, a, r_inf, e_u, kappa,
-             asymptotic.kappa_to_antennas(kappa, cfg["users"]))]
+    try:
+        antennas = asymptotic.kappa_to_antennas(kappa, cfg["users"])
+    except ValueError as exc:
+        raise ConfigError(f"dof point (eta={eta:g}, cross_gain={a:g}, "
+                          f"r_inf={r_inf:g}): {exc}") from exc
+    return [(eta, a, r_inf, e_u, kappa, antennas)]
 
 
 def _montecarlo_point(cfg, quality, index, point):

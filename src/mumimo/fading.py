@@ -1,12 +1,12 @@
-"""System configuration, large-scale fading tensors, and interference profiles.
+"""System configuration, large-scale fading tensors, and the interference law.
 
 The interference seen by one base station after zero-forcing is a weighted
 sum of independent exponentials whose rates are the cross-cell large-scale
-gains.  This module groups those gains into distinct values with
-multiplicities, the law (mu, tau) that every metric reads.  Its
-partial-fraction ("characteristic") coefficients are built only when first
-read, by the closed rate sum; the rate's fallback and the CDF arbiter read
-the gains.
+gains.  `build_profile` groups those gains into distinct values with
+multiplicities, the law (mu, tau) that every metric reads, and the law
+checks itself when built.  Its partial-fraction ("characteristic")
+coefficients are built only when first read, by the closed rate sum; the
+rate's fallback and the CDF arbiter read the gains.
 """
 
 import warnings
@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "SystemConfig",
     "LargeScaleFading",
-    "InterferenceProfile",
     "CharacteristicExpansion",
     "build_profile",
     "characteristic_coefficients",
@@ -98,31 +97,35 @@ def symmetric_fading(num_cells, users_per_cell, direct=1.0, cross=0.1):
 
 
 @dataclass(frozen=True)
-class InterferenceProfile:
-    """Diagonal of the block interference matrix for one home cell, grouped
-    into distinct eigenvalues (decreasing) with multiplicities."""
-
-    home_cell: int
-    diagonal: np.ndarray
-    mu: np.ndarray
-    tau: np.ndarray
-
-    @property
-    def is_empty(self):
-        return self.diagonal.size == 0
-
-
-@dataclass(frozen=True)
 class CharacteristicExpansion:
     """The law of the interference power Z: the distinct gains mu_m with
     multiplicities tau_m, E e^{sZ} = prod_m (1 - mu_m s)^-tau_m.
 
     Its partial-fraction weights `chi` are built on first read: only the
-    closed rate sum and `mgf` use them.
+    closed rate sum and `mgf` use them.  A law that is not of this form
+    (gains not finite, positive and strictly decreasing with relative gaps
+    above CLUSTER_TOL, multiplicities not positive integers, or lengths
+    that differ) raises ValueError when built.
     """
 
     mu: np.ndarray
     tau: np.ndarray
+
+    def __post_init__(self):
+        mu, tau = np.array(self.mu, dtype=float), np.asarray(self.tau)
+        if mu.ndim != 1 or tau.shape != mu.shape:
+            raise ValueError(f"mu and tau must be 1-D and of one length, "
+                             f"got shapes {mu.shape} and {tau.shape}")
+        if not np.all(np.isfinite(mu) & (mu > 0)):
+            raise ValueError(f"gains mu must be finite and positive, got {mu}")
+        if not np.all(mu[:-1] - mu[1:] > CLUSTER_TOL * mu[:-1]):
+            raise ValueError(f"gains mu must decrease strictly, with relative "
+                             f"gaps above CLUSTER_TOL, got {mu}")
+        if not np.all(np.isfinite(tau) & (tau >= 1) & (tau == np.floor(tau))):
+            raise ValueError(f"multiplicities tau must be positive integers, "
+                             f"got {tau}")
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "tau", tau.astype(int))
 
     @property
     def is_empty(self):
@@ -210,43 +213,42 @@ def _min_relative_gap(mu):
 
 
 def build_profile(config, fading, home_cell):
-    """Collect cross-cell gains into an InterferenceProfile.
+    """The interference law at base station `home_cell`: its cross-cell
+    gains beta[l, i, k], i != l, as a CharacteristicExpansion of distinct
+    gains mu (decreasing) with multiplicities tau; the empty law when
+    L = 1.
 
     Gains whose relative difference is within CLUSTER_TOL are one
     eigenvalue; every other gain is kept exactly, however close.  A
     near-degenerate pair ill-conditions only the partial-fraction weights,
     which warn when first read; the other metrics read the gains
-    themselves.
+    themselves.  Raises ValueError when the (L, K) of `config` differ from
+    the tensor's or `home_cell` is not one of its cells.
     """
-    beta = fading.beta
-    l = home_cell
-    diag = np.concatenate([beta[l, i, :] for i in range(config.num_cells)
-                           if i != l]) if config.num_cells > 1 else np.array([])
-    if diag.size == 0:
-        return InterferenceProfile(l, diag, np.array([]),
-                                   np.array([], dtype=int))
-    values = np.sort(diag)[::-1]
+    cells, users = fading.num_cells, fading.users_per_cell
+    if (config.num_cells, config.users_per_cell) != (cells, users):
+        raise ValueError(
+            f"config has (L, K) = ({config.num_cells}, "
+            f"{config.users_per_cell}) but the fading tensor has "
+            f"({cells}, {users})")
+    if not 0 <= home_cell < cells:
+        raise ValueError(f"home_cell {home_cell} outside 0..{cells - 1}")
+    cross = np.delete(fading.beta[home_cell], home_cell, axis=0)
     mu, tau = [], []
-    for v in values:
+    for v in np.sort(cross, axis=None)[::-1]:
         if mu and (mu[-1] - v) <= CLUSTER_TOL * mu[-1]:
             tau[-1] += 1
         else:
             mu.append(v)
             tau.append(1)
-    return InterferenceProfile(l, diag, np.array(mu),
-                               np.array(tau, dtype=int))
+    return CharacteristicExpansion(np.array(mu), np.array(tau, dtype=int))
 
 
-def characteristic_coefficients(profile):
-    """The profile's gains as a CharacteristicExpansion, which builds the
-    partial-fraction weights `chi`, and their warnings, on first read."""
-    if profile.is_empty:
-        raise ValueError("characteristic_coefficients requires a non-empty "
-                         "profile (no interference when L = 1)")
-    if _min_relative_gap(profile.mu) < CLUSTER_TOL:
-        raise ValueError("distinct eigenvalues closer than CLUSTER_TOL; "
-                         "build_profile groups them into one")
-    return CharacteristicExpansion(profile.mu.copy(), profile.tau.copy())
+def characteristic_coefficients(law):
+    """Return `law` unchanged: `build_profile` returns the checked law
+    itself.  Kept only because benchmark/worker.py calls it and
+    benchmark/tracing.py wraps it by name in `fading` and `cli`."""
+    return law
 
 
 # ---------------------------------------------------------------------------

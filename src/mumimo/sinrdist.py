@@ -22,8 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fading import CharacteristicExpansion, build_profile, \
-    characteristic_coefficients
+from .fading import CharacteristicExpansion, build_profile
 from .errors import QuadratureError
 # unused here; bound because benchmark/tracing.py wraps them by name
 from .specfun import expint_en_scaled, hyp2f0_neg  # noqa: F401
@@ -75,9 +74,7 @@ class SinrModel:
 def make_sinr_model(config, fading, user, cell, expansion=None):
     """SinrModel for one user from a config + fading tensor."""
     if expansion is None:
-        profile = build_profile(config, fading, cell)
-        expansion = (CharacteristicExpansion.empty() if profile.is_empty
-                     else characteristic_coefficients(profile))
+        expansion = build_profile(config, fading, cell)
     desired = DesiredPowerDist(config.zf_shape, fading.direct_gain(cell, user))
     return SinrModel(desired, expansion, config.transmit_snr)
 

@@ -77,14 +77,8 @@ def _en_continued_fraction(n, z):
 
 def _en_series(n, z):
     """Power series for E_n(z), z <= 1 (Abramowitz & Stegun 5.1.12 family)."""
-    if n == 1:
-        psi = -EULER_GAMMA
-    else:
-        psi = digamma_int(n)
-    if n == 1:
-        ans = -math.log(z) - EULER_GAMMA
-    else:
-        ans = ((-z) ** (n - 1) / math.factorial(n - 1)) * (-math.log(z) + psi)
+    psi = digamma_int(n)
+    ans = ((-z) ** (n - 1) / math.factorial(n - 1)) * (-math.log(z) + psi)
     term = 1.0  # (-z)^m / m!
     for m in range(0, 200):
         if m > 0:
@@ -103,18 +97,8 @@ def expint_ei(x):
     if x >= 0:
         raise ValueError(f"expint_ei requires x < 0, got {x}")
     if x < -1.0:
-        z = -x
-        return -_en_continued_fraction(1, z) * math.exp(-z)
-    # gamma + ln|x| + sum x^k / (k k!)
-    s = EULER_GAMMA + math.log(-x)
-    p = 1.0
-    for k in range(1, 200):
-        p *= x / k
-        contrib = p / k
-        s += contrib
-        if abs(contrib) < 1e-17 * (abs(s) + 1e-300):
-            break
-    return s
+        return -_en_continued_fraction(1, -x) * math.exp(x)
+    return -_en_series(1, -x)  # Ei(x) = -E_1(-x)
 
 
 def expint_en_scaled(n, z):

@@ -112,3 +112,9 @@ def test_required_kappa_rejects_bad_energy():
 def test_kappa_to_antennas():
     assert asym.kappa_to_antennas(4.2, 10) == 42
     assert asym.kappa_to_antennas(4.01, 10) == 41
+
+
+@pytest.mark.parametrize("kappa", [math.inf, math.nan, 1e308])
+def test_kappa_to_antennas_rejects_a_count_that_is_not_finite(kappa):
+    with pytest.raises(ValueError, match="not finite"):
+        asym.kappa_to_antennas(kappa, 10)

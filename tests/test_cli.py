@@ -9,7 +9,7 @@ from mumimo import cli
 from mumimo.closedform import (ModulationScheme, outage_exact, rate_exact,
                                ser_exact)
 from mumimo.fading import (LargeScaleFading, SystemConfig, build_profile,
-                           characteristic_coefficients, symmetric_fading)
+                           symmetric_fading)
 from test_closedform import BREAKDOWN_GAINS, profile_system
 
 
@@ -98,7 +98,7 @@ def test_rate_mode_is_a_thin_wrapper(tmp_path):
     _, _, rows = read_csv(out / "rate.csv")
     cfg = SystemConfig(4, 10, 20, 10.0)
     fad = symmetric_fading(4, 10, 1.0, 0.1)
-    exp = characteristic_coefficients(build_profile(cfg, fad, 0))
+    exp = build_profile(cfg, fad, 0)
     want = rate_exact(cfg, fad, exp, 0, 0).value
     assert float(rows[0]["rate_per_user"]) == want
 
@@ -270,6 +270,17 @@ def test_dof_at_extreme_eta(tmp_path):
     assert 1.13e13 < float(rows[0]["kappa_required"]) < 1.14e13
 
 
+def test_dof_antenna_count_that_overflows_exits_2(tmp_path, capsys):
+    # kappa K = inf raised OverflowError with a traceback in kappa_to_antennas
+    out = tmp_path / "o"
+    assert cli.main(["dof", "--out", str(out), "--set", "beta_direct=1e-300",
+                     "--set", "cross_gain_list=1e10"]) == 2
+    err = capsys.readouterr().err
+    assert "eta=0.8, cross_gain=1e+10, r_inf=1" in err
+    assert "Traceback" not in err
+    assert not (out / "dof.csv").exists()
+
+
 def test_exit_code_3_on_cancellation_guard(tmp_path):
     out = tmp_path / "o"
     code = cli.main(["rate", "--out", str(out), "--set", "n_list=500",
@@ -352,7 +363,7 @@ def test_fading_file_key(tmp_path):
                      "--set", "n_list=6"])
     assert code == 0
     cfg = SystemConfig(2, 3, 6, 10.0)
-    exp = characteristic_coefficients(build_profile(cfg, fad, 0))
+    exp = build_profile(cfg, fad, 0)
     want = rate_exact(cfg, fad, exp, 0, 0).value
     _, _, rows = read_csv(out / "rate.csv")
     assert float(rows[0]["rate_per_user"]) == want

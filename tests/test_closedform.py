@@ -9,8 +9,7 @@ from mumimo import closedform as cf
 from mumimo import sinrdist as sd
 from mumimo import quadrature, specfun
 from mumimo.fading import (CharacteristicExpansion, LargeScaleFading,
-                           SystemConfig, build_profile,
-                           characteristic_coefficients, symmetric_fading)
+                           SystemConfig, build_profile, symmetric_fading)
 from mumimo.quadrature import (QuadratureError, QuadratureSpec, integrate,
                                integrate_semi_infinite)
 from test_sinrdist import mgf_closed, pdf_z
@@ -19,7 +18,7 @@ from test_sinrdist import mgf_closed, pdf_z
 def scenario1(n, a, p_u=10.0, cells=4, k=10):
     cfg = SystemConfig(cells, k, n, p_u)
     fad = symmetric_fading(cells, k, 1.0, a)
-    exp = characteristic_coefficients(build_profile(cfg, fad, 0))
+    exp = build_profile(cfg, fad, 0)
     return cfg, fad, exp
 
 
@@ -35,7 +34,7 @@ def profile_system(cells, k, cross, n, p_u):
                 beta[l, i] = next(others)
     cfg = SystemConfig(cells, k, n, p_u)
     fad = LargeScaleFading(beta)
-    exp = characteristic_coefficients(build_profile(cfg, fad, 0))
+    exp = build_profile(cfg, fad, 0)
     return cfg, fad, exp
 
 
@@ -59,7 +58,7 @@ def random_distinct_system(rng, cells=3, k=3, n_extra=6):
     p_u = float(10 ** rng.uniform(-0.5, 1.5))
     cfg = SystemConfig(cells, k, n, p_u)
     fad = LargeScaleFading(beta)
-    exp = characteristic_coefficients(build_profile(cfg, fad, 0))
+    exp = build_profile(cfg, fad, 0)
     return cfg, fad, exp
 
 
@@ -612,7 +611,7 @@ def network_drop_system(reuse=7, antennas=20, seed=3):
     cfg = SystemConfig(cells, sc.users_per_cell, sc.antennas,
                        sc.transmit_snr)
     fad = LargeScaleFading(beta)
-    return cfg, fad, characteristic_coefficients(build_profile(cfg, fad, 0))
+    return cfg, fad, build_profile(cfg, fad, 0)
 
 
 def test_ser_on_a_network_drop_matches_monte_carlo():
@@ -855,7 +854,7 @@ def test_quadrature_cdf_never_returns_an_unconverged_sum(cells, k, n):
     # and |u|^-6: the sum converges within its node budget or raises
     cfg = SystemConfig(cells, k, n, 10.0)
     fad = symmetric_fading(cells, k, 1.0, 0.3)
-    exp = characteristic_coefficients(build_profile(cfg, fad, 0))
+    exp = build_profile(cfg, fad, 0)
     model = sd.make_sinr_model(cfg, fad, 0, 0, expansion=exp)
     for gth in (0.1, 1.0, 10.0):
         try:

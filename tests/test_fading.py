@@ -5,8 +5,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from mumimo.fading import (CharacteristicExpansion, InterferenceProfile,
-                           LargeScaleFading, SystemConfig, build_profile,
+from mumimo import closedform as cf
+from mumimo.fading import (CharacteristicExpansion, LargeScaleFading,
+                           SystemConfig, build_profile,
                            characteristic_coefficients, load_fading_text,
                            save_fading_text, symmetric_fading)
 
@@ -39,18 +40,56 @@ def test_fading_tensor_validation():
 def test_symmetric_profile_single_eigenvalue():
     cfg = SystemConfig(4, 10, 10, 10.0)
     fad = symmetric_fading(4, 10, 1.0, 0.1)
-    prof = build_profile(cfg, fad, 0)
-    assert prof.diagonal.size == 30
-    np.testing.assert_array_equal(prof.mu, [0.1])
-    np.testing.assert_array_equal(prof.tau, [30])
+    law = build_profile(cfg, fad, 0)
+    np.testing.assert_array_equal(law.mu, [0.1])
+    np.testing.assert_array_equal(law.tau, [30])
 
 
 def test_single_cell_profile_is_empty():
-    cfg = SystemConfig(1, 4, 8, 1.0)
-    prof = build_profile(cfg, symmetric_fading(1, 4), 0)
-    assert prof.is_empty
+    # L = 1 is the empty law, and every metric takes it as "no interference"
+    cfg = SystemConfig(1, 4, 8, 10.0)
+    fad = symmetric_fading(1, 4)
+    law = build_profile(cfg, fad, 0)
+    assert law.is_empty and law.rates().size == 0
+    assert characteristic_coefficients(law) is law
+    rate = cf.rate_exact(cfg, fad, law, 0, 0)
+    assert rate.method == "exact_general" and rate.value > 0
+    bound = cf.rate_lower_bound(cfg, fad, law, 0, 0).value
+    assert 0 < bound <= rate.value
+    assert 0 < cf.ser_exact(cfg, fad, law, cf.ModulationScheme(4), 0, 0) < 1
+    assert 0 < cf.outage_exact(cfg, fad, law, 0, 0, 1.0) < 1
+
+
+@pytest.mark.parametrize("mu,tau", [
+    ([0.3], [1.5]),         # chi truncated tau to 1: rate 3.2237, not 2.8014
+    ([0.3], [0]),           # raised IndexError
+    ([0.3], [-1]),
+    ([0.1, 0.2], [1, 1]),   # increasing: warned "nearly degenerate"
+    ([0.2, 0.2], [1, 1]),
+    ([0.2, 0.2 * (1 - 1e-13)], [1, 1]),  # one eigenvalue within CLUSTER_TOL
+    ([0.3, -0.1], [1, 1]),
+    ([np.inf], [1]),
+    ([np.nan], [1]),
+    ([0.3, 0.1], [1]),
+    ([[0.3]], [[1]]),
+], ids=["fractional-tau", "zero-tau", "negative-tau", "increasing", "equal",
+        "within-cluster-tol", "negative-mu", "inf-mu", "nan-mu",
+        "length-mismatch", "2-d"])
+def test_malformed_law_raises(mu, tau):
     with pytest.raises(ValueError):
-        characteristic_coefficients(prof)
+        CharacteristicExpansion(np.array(mu), np.array(tau))
+
+
+def test_build_profile_checks_config_against_the_tensor():
+    fad = symmetric_fading(4, 10, 1.0, 0.1)
+    # the (L, K) = (2, 10) config silently gave tau = [10] and a Jensen bound
+    # of 3.453 against 2.151 for the matching config
+    for cfg in (SystemConfig(2, 10, 20, 10.0), SystemConfig(4, 5, 20, 10.0)):
+        with pytest.raises(ValueError, match="fading tensor"):
+            build_profile(cfg, fad, 0)
+    for cell in (-1, 4):
+        with pytest.raises(ValueError, match="home_cell"):
+            build_profile(SystemConfig(4, 10, 20, 10.0), fad, cell)
 
 
 def test_grouping_of_repeated_gains():
@@ -64,9 +103,7 @@ def test_grouping_of_repeated_gains():
 
 
 def test_single_eigenvalue_expansion_is_trivial():
-    prof = InterferenceProfile(0, np.full(7, 0.4), np.array([0.4]),
-                               np.array([7]))
-    exp = characteristic_coefficients(prof)
+    exp = CharacteristicExpansion(np.array([0.4]), np.array([7]))
     chi = exp.chi[0]
     assert chi[-1] == pytest.approx(1.0)
     np.testing.assert_allclose(chi[:-1], 0.0, atol=1e-30)
@@ -74,8 +111,7 @@ def test_single_eigenvalue_expansion_is_trivial():
 
 def test_distinct_case_matches_product_formula():
     vals = np.array([3.0, 1.7, 0.4, 0.09])
-    prof = InterferenceProfile(0, vals, vals, np.ones(4, dtype=int))
-    exp = characteristic_coefficients(prof)
+    exp = CharacteristicExpansion(vals, np.ones(4, dtype=int))
     for m in range(4):
         direct = np.prod([1.0 / (1.0 - vals[j] / vals[m])
                           for j in range(4) if j != m])
@@ -84,9 +120,7 @@ def test_distinct_case_matches_product_formula():
 
 def test_mixed_multiplicity_reproduces_mgf_at_probe_points():
     # mu = (2, 1), tau = (2, 1): reconstruction at s in {-1, -0.3, 0.2}
-    prof = InterferenceProfile(0, np.array([2.0, 2.0, 1.0]),
-                               np.array([2.0, 1.0]), np.array([2, 1]))
-    exp = characteristic_coefficients(prof)
+    exp = CharacteristicExpansion(np.array([2.0, 1.0]), np.array([2, 1]))
     for s in (-1.0, -0.3, 0.2):
         np.testing.assert_allclose(exp.mgf(s), exp.mgf_exact(s), rtol=1e-10)
 
@@ -94,15 +128,14 @@ def test_mixed_multiplicity_reproduces_mgf_at_probe_points():
 def test_concurrent_first_reads_of_chi_agree():
     # chi is cached without a lock, so threads that read it at once may
     # each build it; every reader must still get the same weights
-    prof = InterferenceProfile(0, np.repeat([0.4, 0.25, 0.1], [3, 2, 4]),
-                               np.array([0.4, 0.25, 0.1]), np.array([3, 2, 4]))
-    want = characteristic_coefficients(prof).chi
+    law = (np.array([0.4, 0.25, 0.1]), np.array([3, 2, 4]))
+    want = CharacteristicExpansion(*law).chi
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
             for _ in range(20):
-                exp = characteristic_coefficients(prof)
+                exp = CharacteristicExpansion(*law)
                 reads = list(pool.map(lambda _: exp.chi, range(16),
                                       timeout=30))
                 for chi in reads + [exp.chi]:
@@ -123,17 +156,16 @@ def _draw_profile(rng):
         if gaps.min() < 0.3:
             continue
         reps = rng.integers(1, 4, size=hits)
-        prof = InterferenceProfile(0, np.repeat(vals, reps), vals, reps)
-        exp = characteristic_coefficients(prof)
+        exp = CharacteristicExpansion(vals, reps)
         if sum(abs(c) for _, _, c in exp.terms()) < 1e5:
-            return prof, exp
+            return exp
 
 
 def test_mgf_reconstruction_over_random_profiles():
     rng = np.random.default_rng(20240201)
     for _ in range(50):
-        prof, exp = _draw_profile(rng)
-        smax = 1.0 / prof.mu.max()
+        exp = _draw_profile(rng)
+        smax = 1.0 / exp.mu.max()
         for s in rng.uniform(-2.0 * smax, 0.9 * smax, size=20):
             np.testing.assert_allclose(exp.mgf(float(s)),
                                        exp.mgf_exact(float(s)), rtol=1e-10)
@@ -142,7 +174,7 @@ def test_mgf_reconstruction_over_random_profiles():
 def test_coefficients_sum_to_one():
     rng = np.random.default_rng(8)
     for _ in range(50):
-        _, exp = _draw_profile(rng)
+        exp = _draw_profile(rng)
         total = np.longdouble(0.0)
         for _, _, chi in exp.terms():
             total += chi
@@ -155,8 +187,7 @@ def test_general_algorithm_matches_distinct_formula():
         vals = np.sort(10 ** rng.uniform(-1, 1, size=5))[::-1]
         if ((vals[:-1] - vals[1:]) / vals[:-1]).min() < 0.05:
             continue
-        prof = InterferenceProfile(0, vals, vals, np.ones(5, dtype=int))
-        exp = characteristic_coefficients(prof)
+        exp = CharacteristicExpansion(vals, np.ones(5, dtype=int))
         for m in range(5):
             direct = np.prod([1.0 / (1.0 - vals[j] / vals[m])
                               for j in range(5) if j != m])
@@ -164,10 +195,8 @@ def test_general_algorithm_matches_distinct_formula():
 
 
 def test_near_degenerate_warning():
-    vals = np.array([1.0, 1.0 + 1e-8, 0.1])
-    prof = InterferenceProfile(0, vals, np.sort(vals)[::-1],
-                               np.ones(3, dtype=int))
-    exp = characteristic_coefficients(prof)
+    exp = CharacteristicExpansion(np.array([1.0 + 1e-8, 1.0, 0.1]),
+                                  np.ones(3, dtype=int))
     with pytest.warns(RuntimeWarning):
         exp.chi  # the weights, and their warnings, come on first read
 
@@ -188,7 +217,7 @@ def test_coefficient_sum_warns_when_the_expansion_breaks_down():
     geometric = 0.05 * 4.0 ** (np.arange(30) / 29)
     for cross in (geometric, np.repeat([0.1, 0.2, 0.3], 10)):
         cfg, fad = _cross_gain_fading(cross)
-        exp = characteristic_coefficients(build_profile(cfg, fad, 0))
+        exp = build_profile(cfg, fad, 0)
         with pytest.warns(RuntimeWarning, match="sum to 1"):
             exp.chi
     # scenario 1 and an all-distinct profile stay silent
@@ -197,16 +226,15 @@ def test_coefficient_sum_warns_when_the_expansion_breaks_down():
         warnings.simplefilter("error")
         for cfg, fad in (_cross_gain_fading([0.1] * 30),
                          _cross_gain_fading(distinct, cells=3, users=4)):
-            exp = characteristic_coefficients(build_profile(cfg, fad, 0))
+            exp = build_profile(cfg, fad, 0)
             assert abs(sum(c for _, _, c in exp.terms()) - 1) < 1e-12
 
 
 def test_rates_expand_the_diagonal():
-    prof = InterferenceProfile(0, np.array([0.5, 0.5, 0.2]),
-                               np.array([0.5, 0.2]), np.array([2, 1]))
-    exp = characteristic_coefficients(prof)
-    np.testing.assert_allclose(np.sort(exp.rates()),
-                               np.sort(prof.diagonal))
+    beta = np.ones((2, 2, 3))
+    beta[0, 1, :] = [0.5, 0.2, 0.5]
+    exp = build_profile(SystemConfig(2, 3, 6, 1.0), LargeScaleFading(beta), 0)
+    np.testing.assert_array_equal(exp.rates(), [0.5, 0.5, 0.2])
 
 
 def test_fading_file_round_trip(tmp_path):

@@ -7,8 +7,7 @@ import pytest
 from mumimo import closedform as cf
 from mumimo import montecarlo as mc
 from mumimo import sinrdist as sd
-from mumimo.fading import (LargeScaleFading, SystemConfig,
-                           build_profile, characteristic_coefficients,
+from mumimo.fading import (LargeScaleFading, SystemConfig, build_profile,
                            symmetric_fading)
 
 
@@ -244,7 +243,7 @@ def test_mean_sinr_matches_model_sampling():
 
 def test_estimate_rate_matches_closed_form():
     cfg, fad = scenario1()
-    exp = characteristic_coefficients(build_profile(cfg, fad, 0))
+    exp = build_profile(cfg, fad, 0)
     exact = cf.rate_exact(cfg, fad, exp, 0, 0).value
     est = mc.estimate_rate(cfg, fad,
                            mc.TrialPlan(10_000, base_seed=2))
@@ -282,7 +281,7 @@ def test_estimate_outage_monotone_in_threshold():
 
 def test_estimate_ser_semi_analytic_vs_closed_form():
     cfg, fad = scenario1()
-    exp = characteristic_coefficients(build_profile(cfg, fad, 0))
+    exp = build_profile(cfg, fad, 0)
     mod = cf.ModulationScheme(4)
     ser = cf.ser_exact(cfg, fad, exp, mod, 0, 0)
     est = mc.estimate_ser(cfg, fad, mod,
@@ -337,7 +336,7 @@ def test_conditional_ser_matches_qpsk_closed_form():
 
 def test_estimate_outage_matches_closed_form():
     cfg, fad = scenario1()
-    exp = characteristic_coefficients(build_profile(cfg, fad, 0))
+    exp = build_profile(cfg, fad, 0)
     want = cf.outage_exact(cfg, fad, exp, 0, 0, 3.0)
     est = mc.estimate_outage(cfg, fad,
                              mc.TrialPlan(10_000, base_seed=4), 3.0)

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from mumimo import sinrdist as sd
-from mumimo.fading import (LargeScaleFading, SystemConfig, build_profile,
-                           characteristic_coefficients, symmetric_fading)
+from mumimo.fading import LargeScaleFading, SystemConfig, symmetric_fading
 from mumimo.montecarlo import ks_two_sample
 from mumimo.quadrature import integrate_semi_infinite
 from mumimo.specfun import expint_en_scaled, hyp2f0_neg
