@@ -1,5 +1,4 @@
-"""The error of a numerical integral that cannot meet its accuracy, raised
-by the adaptive quadrature and by the CDF arbiter's trapezoid sum."""
+"""The error of an adaptive integral that cannot meet its accuracy."""
 
 
 class QuadratureError(RuntimeError):

@@ -12,8 +12,9 @@ The CDF of gamma (the outage) and the Erlang CDF are the tail of one
 Poisson plus negative-binomial count over the gains (`_count_tail`), and
 every transform of gamma is that CDF integrated by parts, a fixed trapezoid
 sum of positive terms.  The CDF arbiter `sinr_cdf_quadrature` inverts the
-transform of X - gamma_th Z instead, one fixed trapezoid sum through its
-saddle point (`_log_cdf`); none of these reads the expansion's weights chi.
+transform of X - gamma_th Z instead, one fixed trapezoid sum on a parabola
+through its saddle point (`_log_cdf`) for every law, L = 1 included; none of
+these reads the expansion's weights chi, and the arbiter reads no count law.
 """
 
 import math
@@ -23,7 +24,6 @@ from functools import lru_cache
 import numpy as np
 
 from .fading import CharacteristicExpansion, build_profile
-from .errors import QuadratureError
 # unused here; bound because benchmark/tracing.py wraps them by name
 from .specfun import expint_en_scaled, hyp2f0_neg  # noqa: F401
 
@@ -98,6 +98,7 @@ def pdf_x(dist, x):
 
 
 _TAIL_RTOL = 1e-17  # neglected remainder of a summed tail, relative to it
+_TINY = np.finfo(float).tiny  # below it, q's ratios read 1 or inf
 
 
 def _count_tail(lam, tau, odds, nu):
@@ -109,9 +110,9 @@ def _count_tail(lam, tau, odds, nu):
     there, whose logs add up to one log scale, so e^{-lam} prod_m
     (1 - r_m)^tau_m may lie far below the double range.  The truncated
     convolution q is exact below n.  If the head S = P{M < nu} is at most
-    1/2 the result is 1 - S; otherwise the tail is summed until a bound on
-    the rest falls below _TAIL_RTOL of it (M is log-concave, so q falls at
-    least as fast as its last ratio), relative to the whole mass.
+    1/2 the result is 1 - S, else the tail over the whole mass, summed until
+    its last entry underflows or a bound on the rest is below _TAIL_RTOL of
+    it (M is log-concave, so q falls at least as fast as its last ratio).
     """
     if nu <= 0 or lam == math.inf or np.isinf(odds).any():
         return 1.0
@@ -141,7 +142,7 @@ def _count_tail(lam, tau, odds, nu):
         if log_head <= -math.log(2.0):
             return 1.0 - math.exp(log_head)
         tail, last = float(q[nu:].sum()), float(q[-1])
-        rho = last / float(q[-2]) if last else 0.0
+        rho = last / float(q[-2]) if last >= _TINY else 0.0
         if rho < 1.0 and last * rho <= _TAIL_RTOL * tail * (1.0 - rho):
             return tail / (head + tail)
         n = 2 * n if rho >= 1.0 else n + 2 + int(
@@ -270,8 +271,9 @@ def sample_sinr(model, rng, size=None):
     return float(x[0]) if size is None else x
 
 
-_NODES = 64              # trapezoid nodes per numpy block of the arbiter
-_NODE_BUDGET = 1 << 15   # nodes before the arbiter gives up
+# trapezoid step and half-range in v: without the Gaussian (p_u = inf) the
+# slowest tail is |u|^-5 du = e^-4v dv (L = 2, K = N = 1)
+_STEP, _RANGE = 1 / 40, 16
 
 
 def _log_cdf(model, threshold):
@@ -280,12 +282,13 @@ def _log_cdf(model, threshold):
     Helstrom (1978): gamma <= t is Y = X - t Z <= y = t / p_u, and
     E e^{-sY} = (1 + beta s)^-nu prod_m (1 - t mu_m s)^-tau_m.  phi(s) =
     s y + ln E e^{-sY} - ln |s| is convex on each side of 0, and of its
-    saddle points (P on the right, 1 - P on the left) the lower one is
-    summed on its vertical line by the trapezoid rule, step
-    min(0.3 / sqrt(phi''), 2 pi d / 40) for d the distance to the nearest
-    singularity, so the error falls like e^{-2 pi d / h} (Trefethen &
-    Weideman 2014).  The terms decay only like |u|^-(nu + sum tau + 1), so
-    past a node budget it raises QuadratureError.
+    saddle points (P on the right, 1 - P on the left) the lower one, sigma,
+    is summed along the parabola s = sigma + iu - b u^2, which bends left
+    through sigma and crosses no singularity, as all are real (Weideman &
+    Trefethen 2007); b = 1 / (4 (sigma + 1/beta)) puts those left of sigma
+    on the imaginary u axis.  On it e^{sy} decays like a Gaussian in u, the
+    rest at least like |u|^-3, and u = c sinh v, c = 1/sqrt(phi''), makes
+    that tail exponential in v: one trapezoid sum serves every law.
     """
     nu, beta, tau = model.desired.shape, model.desired.scale, \
         model.interference.tau
@@ -305,43 +308,40 @@ def _log_cdf(model, threshold):
         for _ in range(200):  # any s in (lo, hi) gives the same integral
             c = slopes(s)
             step = (y - e @ c) / (e @ (c * c))
-            if abs(step) <= 1e-10 * abs(s):
+            if step * step * (e @ (c * c)) <= 1e-12:  # 1e-6 / sqrt(phi'')
                 break
             lo, hi = (s, hi) if step < 0 else (lo, s)
             s = s - step if lo < s - step < hi else 0.5 * (lo + hi)
         # phi(s) in extended precision: ln v is no more accurate than it,
         # and its terms reach 1e3 at N = 500
         ld = np.longdouble(s)
-        return float(s), (ld * y - nu * np.log1p(beta * ld) - np.log(abs(ld))
-                          - np.log1p(-a * ld) @ tau)
+        return ld, (ld * y - nu * np.log1p(beta * ld) - np.log(abs(ld))
+                    - np.log1p(-a * ld) @ tau)
 
     (sigma, base), upper = min((saddle(0.0, hi), False),
                                (saddle(-1.0 / beta, 0.0), True),
                                key=lambda side: side[0][1])
-    c = slopes(sigma)
-    d = min(abs(sigma), sigma + 1.0 / beta, right - sigma)
-    h = min(0.3 / math.sqrt(e @ (c * c)), 2.0 * math.pi * d / 40.0)
-    total = 0.5  # sum of Re e^{phi(sigma + i k h) - phi(sigma)}, k >= 0
-    for k in range(1, _NODE_BUDGET, _NODES):
-        u = h * np.arange(k, k + _NODES)
-        w = np.multiply.outer(u, c)
-        size = np.exp(-0.5 * (np.log1p(w * w) @ e))
-        total += float(size @ np.cos(u * y - np.arctan(w) @ e))
-        if size[0] < 1e-18 * total:
-            return base + np.log(h / math.pi * total), upper
-    raise QuadratureError(f"the CDF at threshold {threshold} did not "
-                          f"converge within {_NODE_BUDGET} nodes")
+    c = slopes(sigma).astype(float)  # factor j over its value: 1 + c_j z
+    b, scale = c[0] / 4.0, 1.0 / math.sqrt(e @ (c * c))
+    v = _STEP * np.arange(1, round(_RANGE / _STEP) + 1)
+    u = scale * np.sinh(v)
+    cu2 = np.multiply.outer(u * u, c)
+    # z = s - sigma, |1 + c z|^2 = 1 + c u^2 (c - 2b + b^2 c u^2) with no
+    # cancellation (c >= 4b where c > 0), and ds/du = i (1 + 2ibu)
+    size = (0.5 * np.log1p(4.0 * b * b * u * u) - b * y * u * u
+            - 0.5 * (np.log1p(cu2 * (c - 2.0 * b + b * b * cu2)) @ e))
+    phase = (u * y + np.arctan(2.0 * b * u)
+             - np.arctan2(np.multiply.outer(u, c), 1.0 - b * cu2) @ e)
+    total = 0.5 + (np.exp(size) * np.cos(phase)) @ np.cosh(v)
+    return base + np.log(_STEP * scale / math.pi * total), upper
 
 
 def sinr_cdf_quadrature(model, threshold):
-    """P{gamma <= threshold}, the arbiter of the count-law outage: for
-    L >= 2 the saddle-point sum `_log_cdf`, which reads neither chi nor the
-    count law and raises QuadratureError where its terms decay too slowly
-    (exponent 5 or less); without interference the Erlang CDF."""
+    """P{gamma <= threshold}, the arbiter of the count-law outage: the
+    saddle-point sum `_log_cdf` on every law, L = 1 included, which reads
+    neither chi nor the count law."""
     edge = _cdf_edge(threshold, "threshold")
     if edge is not None:
         return edge
-    if model.interference.is_empty:
-        return cdf_x(model.desired, threshold / model.p_u)
     log_v, upper = _log_cdf(model, threshold)
     return float(-np.expm1(log_v) if upper else np.exp(log_v))

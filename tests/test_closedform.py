@@ -1,4 +1,9 @@
+import itertools
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 
@@ -10,7 +15,7 @@ from mumimo import sinrdist as sd
 from mumimo import quadrature, specfun
 from mumimo.fading import (CharacteristicExpansion, LargeScaleFading,
                            SystemConfig, build_profile, symmetric_fading)
-from mumimo.quadrature import (QuadratureError, QuadratureSpec, integrate,
+from mumimo.quadrature import (QuadratureSpec, integrate,
                                integrate_semi_infinite)
 from test_sinrdist import mgf_closed, pdf_z
 
@@ -828,12 +833,12 @@ def test_outage_matches_quadrature_cdf_distinct():
             sd.sinr_cdf_quadrature(model, q), atol=1e-9)
 
 
-def assert_cdf_close(got, want):
-    """Relative 1e-12 on P, or on 1 - P where P > 1/2 and 1 - P >= 1e-9,
+def assert_cdf_close(got, want, rtol=1e-12):
+    """Relative rtol on P, or on 1 - P where P > 1/2 and 1 - P >= 1e-9,
     plus the rounding of such a P on both sides to a double below 1 (whose
     spacing is 1.1e-16)."""
     q = 1.0 - want if want > 0.5 and 1.0 - want >= 1e-9 else want
-    assert abs(got - want) <= 1e-12 * q + (q < want) * 2.3e-16, (got, want)
+    assert abs(got - want) <= rtol * q + (q < want) * 2.3e-16, (got, want)
 
 
 @pytest.mark.parametrize("reuse,antennas,seed", [
@@ -848,20 +853,140 @@ def test_quadrature_cdf_on_network_drops(reuse, antennas, seed):
                          cf.outage_exact(cfg, fad, exp, 0, 0, gth))
 
 
-@pytest.mark.parametrize("cells,k,n", [(2, 1, 1), (2, 2, 4)])
-def test_quadrature_cdf_never_returns_an_unconverged_sum(cells, k, n):
-    # the integrand decays only like |u|^-(nu + sum tau + 1), here |u|^-3
-    # and |u|^-6: the sum converges within its node budget or raises
+def small_system(k, n, cells=2):
+    """Cross gain 0.3 and p_u = 10, where at L = 2 the terms of a sum along
+    the vertical line through the saddle point decay only like |u|^-(N + 2).
+    """
     cfg = SystemConfig(cells, k, n, 10.0)
     fad = symmetric_fading(cells, k, 1.0, 0.3)
-    exp = build_profile(cfg, fad, 0)
+    return cfg, fad, build_profile(cfg, fad, 0)
+
+
+@pytest.mark.parametrize("cells,k,n", [(2, 1, 1), (2, 1, 3), (2, 2, 2),
+                                       (2, 2, 4)])
+def test_quadrature_cdf_never_returns_an_unconverged_sum(cells, k, n):
+    # |u|^-3 to |u|^-6 on the vertical line, where a sum along it raised
+    # past its node budget at K = 1, N = 1 and 3 and K = 2, N = 2; the
+    # parabola takes every threshold, and ln P with it
+    cfg, fad, exp = small_system(k, n, cells)
     model = sd.make_sinr_model(cfg, fad, 0, 0, expansion=exp)
     for gth in (0.1, 1.0, 10.0):
-        try:
-            got = sd.sinr_cdf_quadrature(model, gth)
-        except QuadratureError:
+        want = cf.outage_exact(cfg, fad, exp, 0, 0, gth)
+        assert_cdf_close(sd.sinr_cdf_quadrature(model, gth), want)
+        got = cf.log_outage_exact(cfg, fad, exp, 0, 0, gth)
+        assert abs(got - math.log(want)) <= 1e-13, (gth, got, want)
+
+
+def test_quadrature_cdf_does_not_call_the_count_law(monkeypatch):
+    # the arbiter must judge the count law on every law, L = 1 included,
+    # not be it
+    systems = [(SystemConfig(1, 4, 8, 2.0), symmetric_fading(1, 4),
+                CharacteristicExpansion.empty()), scenario1(20, 0.1)]
+    want = [[cf.outage_exact(*system, 0, 0, gth) for gth in (0.5, 3.0)]
+            for system in systems]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the arbiter called the count law")
+
+    monkeypatch.setattr(sd, "_count_tail", refuse)
+    monkeypatch.setattr(sd, "cdf_x", refuse)
+    for system, values in zip(systems, want):
+        model = sd.make_sinr_model(*system[:2], 0, 0, expansion=system[2])
+        for gth, value in zip((0.5, 3.0), values):
+            assert_cdf_close(sd.sinr_cdf_quadrature(model, gth), value)
+            assert_cdf_close(math.exp(cf.log_outage_exact(*system, 0, 0, gth)),
+                             value)
+
+
+def run_isolated(call, timeout):
+    """Run `call`, a call of a function of this module, in a fresh
+    interpreter, so that one that never returns fails the suite after
+    `timeout` seconds instead of hanging it."""
+    here = pathlib.Path(__file__).resolve().parent
+    path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run(
+        [sys.executable, "-c", f"import test_closedform as t; t.{call}"],
+        env=env, capture_output=True, text=True, timeout=timeout)
+    assert done.returncode == 0, done.stderr[-3000:]
+
+
+STALL_GRID = [(n, a, p_u, float(gth)) for n in (300, 500, 800, 1000, 2000)
+              for a in (0.1, 0.5) for p_u in (1.0, 10.0, 1e3, 1e6, math.inf)
+              for gth in np.logspace(-2, 2, 9)]
+
+
+def check_count_law_terminates(full=False):
+    """The count law returns where the last entries of its convolution
+    underflow.  Its 30 calls of STALL_GRID at N >= 800 and thresholds
+    3.2-32 read the ratio of two subnormal entries as 1 and doubled the
+    convolution without end, and so did the SER at N = 800 and 1000.  Where
+    P is normal and below 1/2 it matches the arbiter's ln P within 1e-12:
+    its ratio products lose about 1e-16 per term (3.4e-13 at N = 2000, where
+    the arbiter is within 2e-14 of 40-digit mpmath)."""
+    for n, a, p_u, gth in STALL_GRID:
+        if not (full or n >= 800 and 3.0 < gth < 32.0):
             continue
-        assert_cdf_close(got, cf.outage_exact(cfg, fad, exp, 0, 0, gth))
+        system = scenario1(n, a, p_u=p_u)
+        got = cf.outage_exact(*system, 0, 0, gth)
+        if np.finfo(float).tiny <= got < 0.5:
+            ref = cf.log_outage_exact(*system, 0, 0, gth)
+            assert abs(math.log(got) - ref) <= 1e-12, (n, a, p_u, gth)
+    # N = 800 at threshold 10.09: the outage's count law, called directly
+    tail = sd._count_tail(1.0085854899646869, np.array([30]),
+                          np.array([1.0085854899646869]), 791)
+    ref = cf.log_outage_exact(*scenario1(800, 0.1), 0, 0, 10.085854899646869)
+    assert abs(math.log(tail) - ref) <= 1e-12
+    for n in (800, 1000):
+        ser = cf.ser_exact(*scenario1(n, 0.1), cf.ModulationScheme(4), 0, 0)
+        assert 0.0 < ser < 1e-30
+
+
+def test_count_law_terminates_where_its_entries_underflow():
+    run_isolated("check_count_law_terminates()", timeout=120)
+
+
+@pytest.mark.slow
+def test_count_law_terminates_on_the_stall_grid():
+    run_isolated("check_count_law_terminates(full=True)", timeout=300)
+
+
+def arbiter_grid():
+    """(system, threshold): L = 2 with K in {1, 2} and K <= N <= 4; L = 1
+    with N - K in 0..20; scenario 1 at N = 20, 100 and 500; the reuse-7, 3
+    and 1 drops; each at p_u in {1e-4, 10, inf} and 5 thresholds."""
+    systems = [small_system(k, n) for k in (1, 2) for n in range(k, 5)]
+    systems += [(SystemConfig(1, 4, 4 + m, 10.0), symmetric_fading(1, 4),
+                 CharacteristicExpansion.empty()) for m in range(21)]
+    systems += [scenario1(n, 0.1) for n in (20, 100, 500)]
+    systems += [network_drop_system(*drop) for drop in ((7, 20, 3),
+                                                        (3, 20, 1),
+                                                        (1, 100, 0))]
+    for cfg, fad, exp in systems:
+        for p_u in (1e-4, 10.0, math.inf):
+            for gth in (0.01, 0.1, 1.0, 10.0, 100.0):
+                yield (replace(cfg, transmit_snr=p_u), fad, exp), gth
+
+
+def check_arbiter(full=False):
+    """The arbiter and ln P agree with the count law within 1e-13 on P (or
+    on 1 - P) on every 26th case of `arbiter_grid`, or on all of it."""
+    cases = itertools.islice(arbiter_grid(), 0, None, 1 if full else 26)
+    for system, gth in cases:
+        want = cf.outage_exact(*system, 0, 0, gth)
+        model = sd.make_sinr_model(*system[:2], 0, 0, expansion=system[2])
+        assert_cdf_close(sd.sinr_cdf_quadrature(model, gth), want, 1e-13)
+        assert_cdf_close(math.exp(cf.log_outage_exact(*system, 0, 0, gth)),
+                         want, 1e-13)
+
+
+def test_quadrature_cdf_on_a_slice_of_its_grid():
+    run_isolated("check_arbiter()", timeout=120)
+
+
+@pytest.mark.slow
+def test_quadrature_cdf_on_its_grid():
+    run_isolated("check_arbiter(full=True)", timeout=300)
 
 
 def test_log_outage_matches_references_below_the_double_range():
