@@ -6,10 +6,12 @@ Determinism contract: the randomness of trial t is a pure function of
 (base_seed, t) through a counter-based Philox key, so results are
 bit-identical no matter how trials are chunked or threaded; reductions are
 merge-only (sums, counts).  Every estimate runs through one block map:
-blocks of `_BLOCK` trials on a thread pool sized to the CPUs this process
-may use (numpy's normal fills, `matmul`, `inv` and `lstsq` release the
-interpreter lock), yielded in trial order, so neither the block size nor
-the thread count changes a draw or a result.  Neither is a setting.
+blocks of as many trials as fill `_BLOCK_BYTES` with channels (at least
+one), on a thread pool sized to the CPUs this process may use (numpy's
+normal fills, `matmul`, `inv` and `lstsq` release the interpreter lock),
+yielded in trial order, so neither the block size nor the thread count
+changes a draw or a result.  Neither is a setting.  A block restarts one
+Philox generator in place from trial to trial and scales its channels once.
 """
 
 import math
@@ -36,9 +38,9 @@ __all__ = [
 
 _COND_GATE = 1e14
 
-# trials per block: sets the memory of one block (32 trials at N = 100 is
-# 2 MB of channels), never a result
-_BLOCK = 32
+# bytes of channels per block: sets the memory of one block, never a
+# result; 32 trials at L = 4, K = 10, N = 100 and 160 at N = 20
+_BLOCK_BYTES = 32 * 4 * 100 * 10 * 16
 
 # threads of the block pool: the CPUs this process may use
 try:
@@ -63,6 +65,9 @@ class ChannelRealization:
     g: np.ndarray  # (L, N, K) complex
 
     def __post_init__(self):
+        if not 0 <= self.home_cell < self.g.shape[0]:
+            raise ValueError(f"home_cell {self.home_cell} outside "
+                             f"0..{self.g.shape[0] - 1}")
         if not np.all(np.isfinite(self.g.view(float))):
             raise ValueError("channel entries must be finite")
 
@@ -85,20 +90,24 @@ def trial_rng(base_seed, trial):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _rekey(rng, base_seed, trial):
-    """Restart the Philox generator `rng` at the head of
-    trial_rng(base_seed, trial)'s stream: key (base_seed, trial), counter 0,
-    empty buffer.  Building a new Philox costs several times more, mostly
-    OS entropy that the key then overwrites."""
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64),
-                  "key": np.array([int(trial) % (1 << 64),
-                                   int(base_seed) % (1 << 64)],
-                                  dtype=np.uint64)},
-        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-        "has_uint32": 0, "uinteger": 0}
-    return rng
+def _trial_streams(base_seed, trials):
+    """Yield, for each trial t of the range `trials`, one Philox generator
+    restarted in place at the head of trial_rng(base_seed, t)'s stream: key
+    (base_seed, t), counter 0, empty buffer.  One state, whose trial key
+    word alone changes, serves the whole range; a new Philox per trial
+    costs several times more, mostly OS entropy that the key then
+    overwrites."""
+    rng = trial_rng(base_seed, trials.start)
+    state = {"bit_generator": "Philox",
+             "state": {"counter": [0, 0, 0, 0],
+                       "key": [0, int(base_seed) % (1 << 64)]},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    key = state["state"]["key"]
+    for t in trials:
+        key[0] = t % (1 << 64)
+        rng.bit_generator.state = state
+        yield rng
 
 
 def _draw_cn(rng, out):
@@ -193,27 +202,60 @@ def zf_sinr(realization, p_u):
     return out[0]
 
 
-def _map_blocks(block, num_trials):
-    """Yield block(trials) over consecutive ranges of `_BLOCK` trials, in
-    order, run on `_WORKERS` threads; closing the generator cancels the
-    blocks not yet started and waits for the running ones."""
+def _check_indices(config, home_cell, user=None):
+    """Raise ValueError unless `home_cell` is one of the config's cells and
+    `user`, when given, one of its users: a negative index would wrap
+    around and pick the wrong cell or user."""
+    if not 0 <= home_cell < config.num_cells:
+        raise ValueError(f"home_cell {home_cell} outside "
+                         f"0..{config.num_cells - 1}")
+    k = config.users_per_cell
+    if user is not None and not 0 <= user < k:
+        raise ValueError(f"user must lie in 0..{k - 1}, got {user}")
+
+
+def _block_trials(config):
+    """Trials per block: as many as fill `_BLOCK_BYTES` with the complex
+    (L, N, K) channels of each, at least one."""
+    trial = 16 * config.num_cells * config.antennas * config.users_per_cell
+    return max(1, _BLOCK_BYTES // trial)
+
+
+def _map_blocks(block, config, num_trials):
+    """Yield block(trials) over consecutive ranges of `_block_trials(config)`
+    trials, in order, run on `_WORKERS` threads; closing the generator
+    cancels the blocks not yet started and waits for the running ones."""
     # imported here, so that programs that never sample do not pay for it
     from concurrent.futures import ThreadPoolExecutor
-    blocks = [range(start, min(start + _BLOCK, num_trials))
-              for start in range(0, num_trials, _BLOCK)]
+    size = _block_trials(config)
+    blocks = [range(start, min(start + size, num_trials))
+              for start in range(0, num_trials, size)]
     with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
         yield from pool.map(block, blocks)
 
 
-def _sinr_block(config, fading, base_seed, home_cell, trials):
-    """SINRs of the given trials, each drawn from its own re-keyed stream;
-    shape (len(trials), K)."""
+def _channel_block(config, fading, base_seed, home_cell, trials, then=None):
+    """Channels of the given trials, shape (len(trials), L, N, K): trial t's
+    are the first normals of trial_rng(base_seed, t)'s stream, drawn
+    straight into its row of the block's float view; then(j, rng), when
+    given, goes on drawing from the stream of the block's j-th trial.  The
+    1/sqrt(2) and sqrt(beta) scalings run once per block, bit for bit those
+    of sample_channels on each trial alone."""
     cells, n, k = config.num_cells, config.antennas, config.users_per_cell
-    rng = trial_rng(base_seed, trials.start)
     g = np.empty((len(trials), cells, n, k), dtype=complex)
-    for j, t in enumerate(trials):
-        _draw_cn(_rekey(rng, base_seed, t), g[j])
+    h = g.view(float).reshape(g.shape + (2,))
+    for j, rng in enumerate(_trial_streams(base_seed, trials)):
+        rng.standard_normal(out=h[j])
+        if then is not None:
+            then(j, rng)
+    h *= 1.0 / math.sqrt(2.0)
     g *= np.sqrt(fading.beta[home_cell][None, :, None, :])
+    return g
+
+
+def _sinr_block(config, fading, base_seed, home_cell, trials):
+    """SINRs of the given trials; shape (len(trials), K)."""
+    g = _channel_block(config, fading, base_seed, home_cell, trials)
     return _zf_sinr_batch(g, home_cell, config.transmit_snr)
 
 
@@ -221,32 +263,40 @@ def _symbol_error_block(config, fading, modulation, base_seed, home_cell,
                         trials, user=None):
     """Symbol error rate of each given trial: uniform M-PSK symbols from
     every user through the ZF front end, nearest-phase detection; the error
-    share of the home users, or 0/1 for one user when one is given."""
+    share of the home users, or 0/1 for one user when one is given.  Each
+    trial's stream gives its channels, then its symbols, then its noise."""
     m = modulation.psk_order
-    n, k = config.antennas, config.users_per_cell
+    cells, n, k = config.num_cells, config.antennas, config.users_per_cell
+    symbols = np.empty((len(trials), cells, k), dtype=np.int64)
+    noise = np.empty((len(trials), n), dtype=complex)
+    noise_parts = noise.view(float).reshape(noise.shape + (2,))
+
+    def symbols_and_noise(j, rng):
+        symbols[j] = rng.integers(0, m, size=(cells, k))
+        rng.standard_normal(out=noise_parts[j])
+
+    g = _channel_block(config, fading, base_seed, home_cell, trials,
+                       symbols_and_noise)
+    noise_parts *= 1.0 / math.sqrt(2.0)
+    x = np.exp(2j * math.pi * symbols / m)
     amplitude = math.sqrt(config.transmit_snr)
-    rng = trial_rng(base_seed, trials.start)
-    errors = np.empty(len(trials))
-    for j, t in enumerate(trials):
-        _rekey(rng, base_seed, t)
-        g = sample_channels(config, fading, home_cell, rng).g
-        symbols = rng.integers(0, m, size=(config.num_cells, k))
-        x = np.exp(2j * math.pi * symbols / m)
-        noise = _draw_cn(rng, np.empty(n, dtype=complex))
-        y = amplitude * np.einsum("ink,ik->n", g, x) + noise
-        r = np.linalg.lstsq(g[home_cell], y, rcond=None)[0]
-        detected = np.round(np.angle(r) * m / (2 * math.pi)) % m
-        wrong = detected != symbols[home_cell] % m
-        errors[j] = float(np.mean(wrong) if user is None else wrong[user])
-    return errors
+    r = np.empty((len(trials), k), dtype=complex)
+    for j in range(len(trials)):
+        y = amplitude * np.einsum("ink,ik->n", g[j], x[j]) + noise[j]
+        r[j] = np.linalg.lstsq(g[j, home_cell], y, rcond=None)[0]
+    detected = np.round(np.angle(r) * m / (2 * math.pi)) % m
+    wrong = detected != symbols[:, home_cell] % m
+    return (wrong.mean(axis=1) if user is None
+            else wrong[:, user].astype(float))
 
 
 def sinr_trials(config, fading, plan, home_cell=0):
     """Yield (T_block, K) SINR arrays over the plan's trials, in order;
     trial t's channels come from trial_rng(base_seed, t)."""
+    _check_indices(config, home_cell)
     return _map_blocks(
         partial(_sinr_block, config, fading, plan.base_seed, home_cell),
-        plan.num_trials)
+        config, plan.num_trials)
 
 
 @dataclass(frozen=True)
@@ -259,10 +309,11 @@ class Estimate:
         return abs(self.value - reference) <= num_sigma * self.std_error
 
 
-def _estimate(block, plan):
+def _estimate(block, config, plan):
     """Mean and standard error of the per-trial values that `block` returns
     for each block of the plan's trials."""
-    values = np.concatenate(list(_map_blocks(block, plan.num_trials)))
+    values = np.concatenate(list(_map_blocks(block, config,
+                                             plan.num_trials)))
     se = float(values.std(ddof=1) / math.sqrt(values.size)) \
         if values.size > 1 else math.inf
     return Estimate(float(values.mean()), se, values.size)
@@ -271,10 +322,12 @@ def _estimate(block, plan):
 def _sinr_estimate(config, fading, plan, home_cell, per_user, user=None):
     """_estimate of per_user(gamma), a (T, K) map of a block's SINRs, taken
     for one user or averaged over each trial's users."""
+    _check_indices(config, home_cell, user)
     sinr = partial(_sinr_block, config, fading, plan.base_seed, home_cell)
     pick = ((lambda v: v.mean(axis=1)) if user is None
             else (lambda v: v[:, user].astype(float)))
-    return _estimate(lambda trials: pick(per_user(sinr(trials))), plan)
+    return _estimate(lambda trials: pick(per_user(sinr(trials))), config,
+                     plan)
 
 
 def estimate_rate(config, fading, plan, home_cell=0, user=None):
@@ -310,14 +363,16 @@ def estimate_ser(config, fading, modulation, plan, home_cell=0,
                                       modulation=modulation), user)
     if mode != "symbol":
         raise ValueError("mode must be 'semi_analytic' or 'symbol'")
+    _check_indices(config, home_cell, user)
     return _estimate(partial(_symbol_error_block, config, fading, modulation,
-                             plan.base_seed, home_cell, user=user), plan)
+                             plan.base_seed, home_cell, user=user), config,
+                     plan)
 
 
 def estimate_outage(config, fading, plan, gamma_th, home_cell=0, user=None):
     """Empirical P{gamma_k <= gamma_th}; pools users unless one is given."""
-    if gamma_th < 0:
-        raise ValueError("gamma_th must be >= 0")
+    if not gamma_th >= 0:  # a NaN threshold too
+        raise ValueError(f"gamma_th must be >= 0, got {gamma_th}")
     return _sinr_estimate(config, fading, plan, home_cell,
                           lambda gam: gam <= gamma_th, user)
 

@@ -73,14 +73,29 @@ def test_rank_deficient_channel_raises():
         mc.zf_sinr(mc.ChannelRealization(0, g), 1.0)
 
 
+def _set_block_trials(monkeypatch, cfg, trials):
+    """Patch the block budget to hold `trials` trials of cfg's channels."""
+    trial = 16 * cfg.num_cells * cfg.antennas * cfg.users_per_cell
+    monkeypatch.setattr(mc, "_BLOCK_BYTES", trials * trial)
+    assert mc._block_trials(cfg) == trials
+
+
+def test_block_budget_holds_whole_trials():
+    assert mc._block_trials(SystemConfig(4, 10, 100, 10.0)) == 32
+    assert mc._block_trials(SystemConfig(4, 10, 20, 10.0)) == 160
+    # a trial larger than the budget still makes a block of its own
+    assert mc._block_trials(SystemConfig(4, 10, 4000, 10.0)) == 1
+
+
 def test_results_independent_of_chunk_schedule(monkeypatch):
     cfg, fad = scenario1(n=12, k=4, cells=2)
     rows = []
-    for block in (7, 60):
-        monkeypatch.setattr(mc, "_BLOCK", block)
+    for block in (1, 7, 60):
+        _set_block_trials(monkeypatch, cfg, block)
         rows.append(np.concatenate(list(mc.sinr_trials(
             cfg, fad, mc.TrialPlan(60, base_seed=5)))))
     assert np.array_equal(rows[0], rows[1])
+    assert np.array_equal(rows[0], rows[2])
 
 
 def _all_estimates(cfg, fad, plan, gamma_th):
@@ -99,8 +114,8 @@ def test_results_independent_of_threads_and_block_size(monkeypatch, n,
     want = None
     for workers in (1, 2, 3):
         monkeypatch.setattr(mc, "_WORKERS", workers)
-        for block in (7, 32, 512):
-            monkeypatch.setattr(mc, "_BLOCK", block)
+        for block in (1, 7, 32, 512):
+            _set_block_trials(monkeypatch, cfg, block)
             got = _all_estimates(cfg, fad, mc.TrialPlan(150, base_seed=31),
                                  gamma_th)
             if want is None:
@@ -142,8 +157,8 @@ def test_estimates_pinned_at_scenario_1(n, trials, gamma_th):
 
 def test_closing_sinr_trials_early_stops_its_threads(monkeypatch):
     monkeypatch.setattr(mc, "_WORKERS", 2)
-    monkeypatch.setattr(mc, "_BLOCK", 8)
     cfg, fad = scenario1(n=12, k=4, cells=2)
+    _set_block_trials(monkeypatch, cfg, 8)
     before = threading.active_count()
     trials = mc.sinr_trials(cfg, fad, mc.TrialPlan(640))
     assert next(trials).shape == (8, 4)
@@ -152,8 +167,8 @@ def test_closing_sinr_trials_early_stops_its_threads(monkeypatch):
 
 
 def test_sinr_trial_rows_are_single_realizations(monkeypatch):
-    monkeypatch.setattr(mc, "_BLOCK", 4)
     cfg, fad = scenario1(n=12, k=4, cells=3)
+    _set_block_trials(monkeypatch, cfg, 4)
     rows = np.concatenate(list(mc.sinr_trials(
         cfg, fad, mc.TrialPlan(9, base_seed=21))))
     for t, row in enumerate(rows):
@@ -178,12 +193,49 @@ def _philox_state(rng):
 @pytest.mark.parametrize("seed, trial", [(0, 0), (21, 5), (-3, -1),
                                          (2 ** 70, 2 ** 64 + 7)])
 def test_rekey_restarts_the_trial_stream(seed, trial):
-    rng = mc.trial_rng(1, 1)
+    streams = mc._trial_streams(seed, range(trial - 1, trial + 1))
+    rng = next(streams)
+    assert _philox_state(rng) == _philox_state(mc.trial_rng(seed, trial - 1))
     rng.integers(0, 7, size=3, dtype=np.uint32)  # leave a buffered half word
-    mc._rekey(rng, seed, trial)
+    rng = next(streams)
     fresh = mc.trial_rng(seed, trial)
     assert _philox_state(rng) == _philox_state(fresh)
     assert np.array_equal(rng.standard_normal(5), fresh.standard_normal(5))
+
+
+@pytest.mark.parametrize("home_cell, user", [(-1, None), (4, None),
+                                             (0, -1), (0, 10)])
+def test_estimators_reject_indices_outside_the_system(home_cell, user):
+    # a negative home cell used to count itself as an interferer (rate
+    # 0.819 against 2.146 at home_cell=3), and user=-1 read user K-1
+    cfg, fad = scenario1()
+    plan = mc.TrialPlan(64, base_seed=1)
+    qpsk = cf.ModulationScheme(4)
+    calls = [lambda: mc.estimate_rate(cfg, fad, plan, home_cell, user),
+             lambda: mc.estimate_outage(cfg, fad, plan, 2.0, home_cell, user),
+             lambda: mc.estimate_ser(cfg, fad, qpsk, plan, home_cell,
+                                     user=user),
+             lambda: mc.estimate_ser(cfg, fad, qpsk, plan, home_cell,
+                                     mode="symbol", user=user)]
+    if user is None:
+        calls.append(lambda: mc.sinr_trials(cfg, fad, plan, home_cell))
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+
+
+@pytest.mark.parametrize("home_cell", [-1, 2])
+def test_zf_sinr_rejects_a_home_cell_outside_the_realization(home_cell):
+    cfg, fad = scenario1(n=8, k=3, cells=2)
+    g = mc.sample_channels(cfg, fad, 0, mc.trial_rng(2, 0)).g
+    with pytest.raises(ValueError):
+        mc.zf_sinr(mc.ChannelRealization(home_cell, g), cfg.transmit_snr)
+
+
+def test_estimate_outage_rejects_a_nan_threshold():
+    cfg, fad = scenario1()
+    with pytest.raises(ValueError):
+        mc.estimate_outage(cfg, fad, mc.TrialPlan(64, base_seed=1), math.nan)
 
 
 def _zf_sinr_einsum(g, home_cell, p_u):
