@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fading import _check_dimensions
 from .sinrdist import _interference
 
 __all__ = [
@@ -98,6 +99,10 @@ class UserDrop:
     bs_positions: np.ndarray  # (C, 2)
     positions: np.ndarray     # (C, K, 2)
     beta_home: np.ndarray     # (C, K)
+
+    @property
+    def users_per_cell(self):
+        return self.beta_home.shape[1]
 
 
 def build_hex_grid(scenario):
@@ -228,9 +233,11 @@ def net_rate_samples(scenario, ofdm, drop, rng, samples=1, user=None):
     beta_k) and Z one exponential per co-channel gain, drawn exactly given
     the drop's gains.  Every signal variate comes from `rng` first, then
     every interference row.
-    Returns shape (samples, K) or (samples,) when a user index is given.
+    Returns shape (samples, K) or (samples,) when a user index is given;
+    raises ValueError when the drop has another K than the scenario.
     """
     _check_count("samples", samples)
+    _check_dimensions(scenario, drop, ("users_per_cell",))
     k = scenario.users_per_cell
     if user is not None and not 0 <= user < k:
         raise ValueError(f"user must lie in 0..{k - 1}, got {user}")

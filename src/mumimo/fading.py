@@ -212,6 +212,16 @@ def _min_relative_gap(mu):
     return float(np.min((mu[:-1] - mu[1:]) / mu[:-1])) if mu.size > 1 else 1.0
 
 
+def _check_dimensions(config, gains, names=("num_cells", "users_per_cell")):
+    """Raise ValueError unless `config` and the gain tensor `gains` agree
+    on each dimension in `names`: a tensor of another shape would broadcast
+    or be sliced silently into wrong numbers."""
+    want, have = ([getattr(x, a) for a in names] for x in (config, gains))
+    if want != have:
+        raise ValueError(f"config has {', '.join(names)} = {want} but the "
+                         f"fading tensor has {have}")
+
+
 def build_profile(config, fading, home_cell):
     """The interference law at base station `home_cell`: its cross-cell
     gains beta[l, i, k], i != l, as a CharacteristicExpansion of distinct
@@ -225,12 +235,8 @@ def build_profile(config, fading, home_cell):
     themselves.  Raises ValueError when the (L, K) of `config` differ from
     the tensor's or `home_cell` is not one of its cells.
     """
-    cells, users = fading.num_cells, fading.users_per_cell
-    if (config.num_cells, config.users_per_cell) != (cells, users):
-        raise ValueError(
-            f"config has (L, K) = ({config.num_cells}, "
-            f"{config.users_per_cell}) but the fading tensor has "
-            f"({cells}, {users})")
+    _check_dimensions(config, fading)
+    cells = fading.num_cells
     if not 0 <= home_cell < cells:
         raise ValueError(f"home_cell {home_cell} outside 0..{cells - 1}")
     cross = np.delete(fading.beta[home_cell], home_cell, axis=0)

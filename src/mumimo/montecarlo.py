@@ -8,10 +8,11 @@ bit-identical no matter how trials are chunked or threaded; reductions are
 merge-only (sums, counts).  Every estimate runs through one block map:
 blocks of as many trials as fill `_BLOCK_BYTES` with channels (at least
 one), on a thread pool sized to the CPUs this process may use (numpy's
-normal fills, `matmul`, `inv` and `lstsq` release the interpreter lock),
+normal fills, `matmul`, `inv` and `qr` release the interpreter lock),
 yielded in trial order, so neither the block size nor the thread count
 changes a draw or a result.  Neither is a setting.  A block restarts one
-Philox generator in place from trial to trial and scales its channels once.
+Philox generator in place from trial to trial and scales its channels once,
+and detects a whole block at once through one zero-forcing front end.
 """
 
 import math
@@ -20,6 +21,8 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
+
+from .fading import _check_dimensions
 
 __all__ = [
     "ChannelRealization",
@@ -110,90 +113,76 @@ def _trial_streams(base_seed, trials):
         yield rng
 
 
-def _draw_cn(rng, out):
-    """Fill the C-contiguous complex array `out` with i.i.d. CN(0, 1)
-    entries: standard normals drawn straight into its float view, real and
-    imaginary part of each entry in turn, then scaled by 1/sqrt(2).
-
-    Bit for bit this is (h[..., 0] + 1j * h[..., 1]) / sqrt(2) of
-    h = rng.standard_normal(out.shape + (2,)), since numpy divides a complex
-    by a real through the reciprocal."""
-    rng.standard_normal(out.shape + (2,),
-                        out=out.view(float).reshape(out.shape + (2,)))
-    out *= 1.0 / math.sqrt(2.0)
-    return out
-
-
 def sample_channels(config, fading, home_cell, rng):
-    """Draw one ChannelRealization: h ~ CN(0, 1) i.i.d., scaled by the
-    square-root large-scale gains (variance 1/2 per real dimension)."""
-    cells, n, k = config.num_cells, config.antennas, config.users_per_cell
-    g = _draw_cn(rng, np.empty((cells, n, k), dtype=complex))
-    g *= np.sqrt(fading.beta[home_cell][:, None, :])
-    return ChannelRealization(home_cell, g)
+    """Draw one ChannelRealization, a one-trial `_channel_block`: h ~
+    CN(0, 1) i.i.d., scaled by the square-root large-scale gains."""
+    _check_system(config, fading, home_cell)
+    return ChannelRealization(
+        home_cell, _channel_block(config, fading, home_cell, 1, [rng])[0])
+
+
+def _zf_front_end(gh):
+    """Noise gains diag((G^H G)^-1), shape (T, K), of a block of home
+    channels G, shape (T, N, K), and the filter that maps columns C, shape
+    (T, N, c), to (G^H G)^-1 G^H C.  Trials whose Gram matrix is singular
+    or past `_COND_GATE` take the QR pseudo-inverse of `_qr_pinv`."""
+    ghh = gh.conj().swapaxes(1, 2)                         # (T, K, N)
+    gram = ghh @ gh                                        # (T, K, K)
+    try:
+        inv = np.linalg.inv(gram)
+    except np.linalg.LinAlgError:
+        # exactly singular members poison the batched factorization:
+        # invert trial by trial and leave the singular ones NaN
+        inv = np.full_like(gram, np.nan)
+        for t, a in enumerate(gram):
+            try:
+                inv[t] = np.linalg.inv(a)
+            except np.linalg.LinAlgError:
+                pass
+    noise = np.einsum("tkk->tk", inv).real                 # (T, K)
+    # one-norm condition estimate of the Gram matrix, NaN when singular
+    cond = (np.abs(gram).sum(axis=1).max(axis=1)
+            * np.abs(inv).sum(axis=1).max(axis=1))
+    bad = np.flatnonzero(~(cond <= _COND_GATE))
+    if bad.size:
+        noise[bad], pinv = _qr_pinv(gh[bad])
+
+    def zf(columns):
+        out = inv @ (ghh @ columns)
+        if bad.size:
+            out[bad] = pinv @ columns[bad]
+        return out
+
+    return noise, zf
+
+
+def _qr_pinv(gh, rcond=1e-14):
+    """Noise gains and pseudo-inverses R^-1 Q^H of home channels G = QR,
+    shape (T, N, K); RankDeficiencyError when some R has a diagonal entry
+    within `rcond` of its largest."""
+    q, r = np.linalg.qr(gh)
+    diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+    if np.any(diag.min(axis=1) <= rcond * diag.max(axis=1)):
+        raise RankDeficiencyError(
+            "home channel matrix numerically singular")
+    rinv = np.linalg.solve(r, np.eye(r.shape[-1], dtype=r.dtype))
+    return ((rinv.real ** 2 + rinv.imag ** 2).sum(axis=2),
+            rinv @ q.conj().swapaxes(1, 2))
 
 
 def _zf_sinr_batch(g, home_cell, p_u):
     """Per-user SINR for a batch of realizations; g has shape (T, L, N, K).
 
     Noise power for user k is [ (G^H G)^-1 ]_kk; interference power is the
-    squared row norm of G_ll^+ G_li summed over i != l.
+    squared row norm of G_ll^+ G_li summed over i != l, one cell at a time.
     """
-    gh = g[:, home_cell]                                   # (T, N, K)
-    ghh = gh.conj().swapaxes(1, 2)                         # (T, K, N)
-    gram = ghh @ gh                                        # (T, K, K)
-    try:
-        inv = np.linalg.inv(gram)
-        singular = np.array([], dtype=int)
-    except np.linalg.LinAlgError:
-        # exactly singular members poison the batched factorization;
-        # isolate them and let the orthogonal fallback decide
-        inv = np.empty_like(gram)
-        flags = []
-        eye = np.eye(gram.shape[1], dtype=gram.dtype)
-        for t in range(gram.shape[0]):
-            try:
-                inv[t] = np.linalg.inv(gram[t])
-            except np.linalg.LinAlgError:
-                inv[t] = eye
-                flags.append(t)
-        singular = np.array(flags, dtype=int)
-    noise = np.einsum("tkk->tk", inv).real                 # (T, K)
-    # one-norm condition estimate of the Gram matrix
-    cond = (np.abs(gram).sum(axis=1).max(axis=1)
-            * np.abs(inv).sum(axis=1).max(axis=1))
-    bad = np.union1d(np.nonzero(cond > _COND_GATE)[0], singular)
+    noise, zf = _zf_front_end(g[:, home_cell])
     interf = np.zeros_like(noise)
-    cells = g.shape[1]
-    for i in range(cells):
-        if i == home_cell:
-            continue
-        rows = inv @ (ghh @ g[:, i])                       # (T, K, K)
-        interf += (rows.real ** 2 + rows.imag ** 2).sum(axis=2)
-    for t in bad:
-        noise[t], interf[t] = _zf_terms_qr(g[t], home_cell)
+    for i in range(g.shape[1]):
+        if i != home_cell:
+            rows = zf(g[:, i])                             # (T, K, K)
+            interf += (rows.real ** 2 + rows.imag ** 2).sum(axis=2)
     return p_u / (p_u * interf + noise)
-
-
-def _zf_terms_qr(g, home_cell, rcond=1e-14):
-    """Orthogonal-decomposition fallback for an ill-conditioned Gram matrix."""
-    gh = g[home_cell]
-    q, r = np.linalg.qr(gh)
-    diag = np.abs(np.diag(r))
-    if diag.min() <= rcond * diag.max():
-        raise RankDeficiencyError(
-            "home channel matrix numerically singular")
-    rinvh = np.linalg.solve(r, np.eye(r.shape[0], dtype=r.dtype))
-    noise = (rinvh.real ** 2 + rinvh.imag ** 2).sum(axis=1)
-    interf = np.zeros_like(noise)
-    cells = g.shape[0]
-    pinv = rinvh @ q.conj().T
-    for i in range(cells):
-        if i == home_cell:
-            continue
-        rows = pinv @ g[i]
-        interf += (rows.real ** 2 + rows.imag ** 2).sum(axis=1)
-    return noise, interf
 
 
 def zf_sinr(realization, p_u):
@@ -202,10 +191,14 @@ def zf_sinr(realization, p_u):
     return out[0]
 
 
-def _check_indices(config, home_cell, user=None):
-    """Raise ValueError unless `home_cell` is one of the config's cells and
-    `user`, when given, one of its users: a negative index would wrap
-    around and pick the wrong cell or user."""
+def _check_system(config, fading, home_cell, user=None):
+    """Raise ValueError unless `fading` has the (L, K) of `config`, p_u is
+    finite (not inf/inf), `home_cell` is one of its cells and `user`, when
+    given, one of its users (a negative index would wrap around)."""
+    _check_dimensions(config, fading)
+    if not math.isfinite(config.transmit_snr):
+        raise ValueError(f"Monte Carlo needs a finite transmit_snr, got "
+                         f"{config.transmit_snr}")
     if not 0 <= home_cell < config.num_cells:
         raise ValueError(f"home_cell {home_cell} outside "
                          f"0..{config.num_cells - 1}")
@@ -234,17 +227,17 @@ def _map_blocks(block, config, num_trials):
         yield from pool.map(block, blocks)
 
 
-def _channel_block(config, fading, base_seed, home_cell, trials, then=None):
-    """Channels of the given trials, shape (len(trials), L, N, K): trial t's
-    are the first normals of trial_rng(base_seed, t)'s stream, drawn
-    straight into its row of the block's float view; then(j, rng), when
-    given, goes on drawing from the stream of the block's j-th trial.  The
-    1/sqrt(2) and sqrt(beta) scalings run once per block, bit for bit those
-    of sample_channels on each trial alone."""
+def _channel_block(config, fading, home_cell, size, streams, then=None):
+    """Channels of `size` trials, shape (size, L, N, K): trial j's are the
+    first normals of the j-th generator of `streams`, drawn straight into
+    its row of the block's float view; then(j, rng), when given, goes on
+    drawing from that stream.  The 1/sqrt(2) and sqrt(beta) scalings run
+    once per block, bit for bit (h_re + 1j h_im) / sqrt(2) of each entry
+    times its gain's root."""
     cells, n, k = config.num_cells, config.antennas, config.users_per_cell
-    g = np.empty((len(trials), cells, n, k), dtype=complex)
+    g = np.empty((size, cells, n, k), dtype=complex)
     h = g.view(float).reshape(g.shape + (2,))
-    for j, rng in enumerate(_trial_streams(base_seed, trials)):
+    for j, rng in enumerate(streams):
         rng.standard_normal(out=h[j])
         if then is not None:
             then(j, rng)
@@ -255,7 +248,8 @@ def _channel_block(config, fading, base_seed, home_cell, trials, then=None):
 
 def _sinr_block(config, fading, base_seed, home_cell, trials):
     """SINRs of the given trials; shape (len(trials), K)."""
-    g = _channel_block(config, fading, base_seed, home_cell, trials)
+    g = _channel_block(config, fading, home_cell, len(trials),
+                       _trial_streams(base_seed, trials))
     return _zf_sinr_batch(g, home_cell, config.transmit_snr)
 
 
@@ -264,7 +258,8 @@ def _symbol_error_block(config, fading, modulation, base_seed, home_cell,
     """Symbol error rate of each given trial: uniform M-PSK symbols from
     every user through the ZF front end, nearest-phase detection; the error
     share of the home users, or 0/1 for one user when one is given.  Each
-    trial's stream gives its channels, then its symbols, then its noise."""
+    trial's stream gives its channels, then its symbols, then its noise;
+    the block's received vectors are formed and detected together."""
     m = modulation.psk_order
     cells, n, k = config.num_cells, config.antennas, config.users_per_cell
     symbols = np.empty((len(trials), cells, k), dtype=np.int64)
@@ -275,15 +270,14 @@ def _symbol_error_block(config, fading, modulation, base_seed, home_cell,
         symbols[j] = rng.integers(0, m, size=(cells, k))
         rng.standard_normal(out=noise_parts[j])
 
-    g = _channel_block(config, fading, base_seed, home_cell, trials,
-                       symbols_and_noise)
+    g = _channel_block(config, fading, home_cell, len(trials),
+                       _trial_streams(base_seed, trials), symbols_and_noise)
     noise_parts *= 1.0 / math.sqrt(2.0)
     x = np.exp(2j * math.pi * symbols / m)
-    amplitude = math.sqrt(config.transmit_snr)
-    r = np.empty((len(trials), k), dtype=complex)
-    for j in range(len(trials)):
-        y = amplitude * np.einsum("ink,ik->n", g[j], x[j]) + noise[j]
-        r[j] = np.linalg.lstsq(g[j, home_cell], y, rcond=None)[0]
+    y = (math.sqrt(config.transmit_snr) * np.einsum("tink,tik->tn", g, x)
+         + noise)
+    _, zf = _zf_front_end(g[:, home_cell])
+    r = zf(y[..., None])[..., 0]
     detected = np.round(np.angle(r) * m / (2 * math.pi)) % m
     wrong = detected != symbols[:, home_cell] % m
     return (wrong.mean(axis=1) if user is None
@@ -293,7 +287,7 @@ def _symbol_error_block(config, fading, modulation, base_seed, home_cell,
 def sinr_trials(config, fading, plan, home_cell=0):
     """Yield (T_block, K) SINR arrays over the plan's trials, in order;
     trial t's channels come from trial_rng(base_seed, t)."""
-    _check_indices(config, home_cell)
+    _check_system(config, fading, home_cell)
     return _map_blocks(
         partial(_sinr_block, config, fading, plan.base_seed, home_cell),
         config, plan.num_trials)
@@ -322,7 +316,7 @@ def _estimate(block, config, plan):
 def _sinr_estimate(config, fading, plan, home_cell, per_user, user=None):
     """_estimate of per_user(gamma), a (T, K) map of a block's SINRs, taken
     for one user or averaged over each trial's users."""
-    _check_indices(config, home_cell, user)
+    _check_system(config, fading, home_cell, user)
     sinr = partial(_sinr_block, config, fading, plan.base_seed, home_cell)
     pick = ((lambda v: v.mean(axis=1)) if user is None
             else (lambda v: v[:, user].astype(float)))
@@ -363,7 +357,7 @@ def estimate_ser(config, fading, modulation, plan, home_cell=0,
                                       modulation=modulation), user)
     if mode != "symbol":
         raise ValueError("mode must be 'semi_analytic' or 'symbol'")
-    _check_indices(config, home_cell, user)
+    _check_system(config, fading, home_cell, user)
     return _estimate(partial(_symbol_error_block, config, fading, modulation,
                              plan.base_seed, home_cell, user=user), config,
                      plan)

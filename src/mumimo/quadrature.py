@@ -1,8 +1,10 @@
 """Adaptive Gauss-Kronrod quadrature on finite and semi-infinite intervals.
 
-This is the numerical arbiter of the package: every closed-form expression
-elsewhere is cross-checked against (or, where flagged ill-conditioned, falls
-back to) integrals evaluated here.
+It serves only the reference kernels of `specfun` that are integrals
+(Tricomi U, 2F0, the log-moment and Ei-moment quadratures) and the tests.
+It is not the package's arbiter: the CDF arbiter is the saddle-point sum
+`sinrdist._log_cdf`, and the rate falls back to the product-form integral
+`closedform._product_form_integral`, both fixed trapezoid sums.
 """
 
 import heapq

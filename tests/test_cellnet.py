@@ -255,6 +255,16 @@ def test_net_rate_reuse_one_reduces_to_plain_rate():
         * math.log2(1 + 1e18)
 
 
+def test_net_rate_samples_check_the_drop_against_the_scenario():
+    # a 10-user drop under a 5-user scenario gave the rates of its first 5
+    sc = cn.NetworkScenario(reuse_factor=1, antennas=20)
+    drop = cn.drop_users(sc, cn.build_hex_grid(sc), np.random.default_rng(5))
+    fewer = cn.NetworkScenario(reuse_factor=1, antennas=20, users_per_cell=5)
+    with pytest.raises(ValueError, match="users_per_cell"):
+        cn.net_rate_samples(fewer, cn.OfdmParams(), drop,
+                            np.random.default_rng(6))
+
+
 def _net_rate_samples_reference(scenario, ofdm, drop, rng, samples, user):
     """`net_rate_samples` out of place: one gamma variate per user-sample,
     then -log of every interference uniform times its gain, summed."""

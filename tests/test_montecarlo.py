@@ -71,6 +71,10 @@ def test_rank_deficient_channel_raises():
     g = np.concatenate([col, col], axis=1)[None]  # duplicated column
     with pytest.raises(mc.RankDeficiencyError):
         mc.zf_sinr(mc.ChannelRealization(0, g), 1.0)
+    # symbol detection goes through the same front end: no minimum-norm
+    # least-squares answer for a channel that cannot separate its users
+    with pytest.raises(mc.RankDeficiencyError):
+        mc._zf_front_end(g)[1](g[..., :1])
 
 
 def _set_block_trials(monkeypatch, cfg, trials):
@@ -177,9 +181,11 @@ def test_sinr_trial_rows_are_single_realizations(monkeypatch):
 
 
 def test_cn_draw_is_the_paired_normal_formula():
+    # unit gains: the channels are the CN(0, 1) draws themselves
+    cfg, fad = SystemConfig(3, 5, 6, 10.0), symmetric_fading(3, 5, 1.0, 1.0)
     h = mc.trial_rng(4, 2).standard_normal((3, 6, 5, 2))
     want = (h[..., 0] + 1j * h[..., 1]) / math.sqrt(2.0)
-    got = mc._draw_cn(mc.trial_rng(4, 2), np.empty((3, 6, 5), dtype=complex))
+    got = mc.sample_channels(cfg, fad, 1, mc.trial_rng(4, 2)).g
     assert np.array_equal(got, want)
 
 
@@ -232,6 +238,36 @@ def test_zf_sinr_rejects_a_home_cell_outside_the_realization(home_cell):
         mc.zf_sinr(mc.ChannelRealization(home_cell, g), cfg.transmit_snr)
 
 
+def _every_entry(cfg, fad):
+    """Every Monte Carlo entry point on (cfg, fad), as calls."""
+    plan = mc.TrialPlan(64, base_seed=1)
+    qpsk = cf.ModulationScheme(4)
+    return [lambda: mc.sample_channels(cfg, fad, 0, mc.trial_rng(1, 0)),
+            lambda: mc.sinr_trials(cfg, fad, plan),
+            lambda: mc.estimate_rate(cfg, fad, plan),
+            lambda: mc.estimate_outage(cfg, fad, plan, 2.0),
+            lambda: mc.estimate_ser(cfg, fad, qpsk, plan),
+            lambda: mc.estimate_ser(cfg, fad, qpsk, plan, mode="symbol")]
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (4, 4, 5), (2, 2, 10)])
+def test_monte_carlo_checks_the_fading_tensor_against_the_config(shape):
+    # a (1, 1, 1) tensor used to broadcast: estimate_rate gave 0.4658 and
+    # the symbol-counting SER 0.51875 at (L, K, N) = (4, 10, 20)
+    fad = LargeScaleFading(np.ones(shape))
+    for call in _every_entry(SystemConfig(4, 10, 20, 10.0), fad):
+        with pytest.raises(ValueError, match="fading tensor"):
+            call()
+
+
+def test_monte_carlo_rejects_an_infinite_transmit_snr():
+    # every SINR was inf/inf = NaN: the rate and the semi-analytic SER gave
+    # NaN, the outage 0.0 and the symbol-counting SER 1.0
+    for call in _every_entry(*scenario1(p_u=math.inf)):
+        with pytest.raises(ValueError, match="transmit_snr"):
+            call()
+
+
 def test_estimate_outage_rejects_a_nan_threshold():
     cfg, fad = scenario1()
     with pytest.raises(ValueError):
@@ -269,8 +305,27 @@ def test_zf_batch_matches_einsum_formula(cells):
     np.testing.assert_allclose(got[good],
                                _zf_sinr_einsum(g[good], home, p_u),
                                rtol=1e-12, atol=0)
-    noise, interf = mc._zf_terms_qr(g[5], home)
-    assert np.array_equal(got[5], p_u / (p_u * interf + noise))
+    # trial 5 takes the QR pseudo-inverse, for the SINR and for detection
+    noise, pinv = mc._qr_pinv(g[5:6, home])
+    rows = [pinv[0] @ g[5, i] for i in range(cells) if i != home]
+    interf = sum((v.real ** 2 + v.imag ** 2).sum(axis=1) for v in rows)
+    assert np.array_equal(got[5], p_u / (p_u * interf + noise[0]))
+    # trial 7: user 3 is 1e-8 weaker, past the gate too but well posed;
+    # trial 5's users 0, 1 and 2 are dependent to rounding (smallest
+    # singular value 4.5e-17 of the largest), where lstsq's minimum-norm
+    # answer is another solution than the QR one
+    g[7, home, :, 3] *= 1e-8
+    gram = g[7, home].conj().T @ g[7, home]
+    assert np.linalg.cond(gram, 1) > mc._COND_GATE
+    y = mc.trial_rng(9, 0).standard_normal((12, 10, 2)).view(complex)
+    r = mc._zf_front_end(g[:, home])[1](y)[..., 0]
+    for t in (5, 7):
+        assert np.array_equal(r[t], mc._qr_pinv(g[t:t + 1, home])[1][0]
+                              @ y[t, :, 0])
+    solvable = np.arange(12) != 5
+    want = [np.linalg.lstsq(g[t, home], y[t, :, 0], rcond=None)[0]
+            for t in np.flatnonzero(solvable)]
+    np.testing.assert_allclose(r[solvable], want, rtol=1e-12, atol=0)
 
 
 def test_matrix_sinr_matches_model_distribution():
