@@ -8,7 +8,7 @@ bit-identical no matter how trials are chunked or threaded; reductions are
 merge-only (sums, counts).  Every estimate runs through one block map:
 blocks of as many trials as fill `_BLOCK_BYTES` with channels (at least
 one), on a thread pool sized to the CPUs this process may use (numpy's
-normal fills, `matmul`, `inv` and `qr` release the interpreter lock),
+normal fills, `matmul`, `inv` and `svd` release the interpreter lock),
 yielded in trial order, so neither the block size nor the thread count
 changes a draw or a result.  Neither is a setting.  A block restarts one
 Philox generator in place from trial to trial and scales its channels once,
@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 _COND_GATE = 1e14
+_RANK_TOL = 1e-14  # least / largest singular value of a rank-deficient G
 
 # bytes of channels per block: sets the memory of one block, never a
 # result; 32 trials at L = 4, K = 10, N = 100 and 160 at N = 20
@@ -124,28 +125,23 @@ def sample_channels(config, fading, home_cell, rng):
 def _zf_front_end(gh):
     """Noise gains diag((G^H G)^-1), shape (T, K), of a block of home
     channels G, shape (T, N, K), and the filter that maps columns C, shape
-    (T, N, c), to (G^H G)^-1 G^H C.  Trials whose Gram matrix is singular
-    or past `_COND_GATE` take the QR pseudo-inverse of `_qr_pinv`."""
+    (T, N, c), to (G^H G)^-1 G^H C.  Trials whose Gram matrix is past
+    `_COND_GATE`, or all if one is singular, take `_svd_pinv`."""
     ghh = gh.conj().swapaxes(1, 2)                         # (T, K, N)
     gram = ghh @ gh                                        # (T, K, K)
     try:
         inv = np.linalg.inv(gram)
     except np.linalg.LinAlgError:
-        # exactly singular members poison the batched factorization:
-        # invert trial by trial and leave the singular ones NaN
+        # an exactly singular member fails the batched factorization:
+        # gate the whole block, whose SVD rejects that member
         inv = np.full_like(gram, np.nan)
-        for t, a in enumerate(gram):
-            try:
-                inv[t] = np.linalg.inv(a)
-            except np.linalg.LinAlgError:
-                pass
     noise = np.einsum("tkk->tk", inv).real                 # (T, K)
     # one-norm condition estimate of the Gram matrix, NaN when singular
     cond = (np.abs(gram).sum(axis=1).max(axis=1)
             * np.abs(inv).sum(axis=1).max(axis=1))
     bad = np.flatnonzero(~(cond <= _COND_GATE))
     if bad.size:
-        noise[bad], pinv = _qr_pinv(gh[bad])
+        noise[bad], pinv = _svd_pinv(gh[bad])
 
     def zf(columns):
         out = inv @ (ghh @ columns)
@@ -156,18 +152,16 @@ def _zf_front_end(gh):
     return noise, zf
 
 
-def _qr_pinv(gh, rcond=1e-14):
-    """Noise gains and pseudo-inverses R^-1 Q^H of home channels G = QR,
-    shape (T, N, K); RankDeficiencyError when some R has a diagonal entry
-    within `rcond` of its largest."""
-    q, r = np.linalg.qr(gh)
-    diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
-    if np.any(diag.min(axis=1) <= rcond * diag.max(axis=1)):
-        raise RankDeficiencyError(
-            "home channel matrix numerically singular")
-    rinv = np.linalg.solve(r, np.eye(r.shape[-1], dtype=r.dtype))
-    return ((rinv.real ** 2 + rinv.imag ** 2).sum(axis=2),
-            rinv @ q.conj().swapaxes(1, 2))
+def _svd_pinv(gh):
+    """Noise gains sum_j |V_kj / s_j|^2 and pseudo-inverses V S^-1 U^H of
+    home channels G = U S V^H, shape (T, N, K); RankDeficiencyError when a
+    G has N < K or a singular value within `_RANK_TOL` of its largest."""
+    u, s, vh = np.linalg.svd(gh, full_matrices=False)
+    if s.shape[1] < gh.shape[2] or np.any(s[:, -1] <= _RANK_TOL * s[:, 0]):
+        raise RankDeficiencyError("home channel matrix numerically singular")
+    vs = vh.conj().swapaxes(1, 2) / s[:, None, :]          # V S^-1
+    return ((vs.real ** 2 + vs.imag ** 2).sum(axis=2),
+            vs @ u.conj().swapaxes(1, 2))
 
 
 def _zf_sinr_batch(g, home_cell, p_u):
@@ -187,18 +181,23 @@ def _zf_sinr_batch(g, home_cell, p_u):
 
 def zf_sinr(realization, p_u):
     """Per-user SINR of one realization (K-vector)."""
-    out = _zf_sinr_batch(realization.g[None], realization.home_cell, p_u)
-    return out[0]
+    _check_snr(p_u)
+    return _zf_sinr_batch(realization.g[None], realization.home_cell, p_u)[0]
+
+
+def _check_snr(p_u):
+    """Raise ValueError unless p_u is finite and positive (not inf/inf)."""
+    if not 0 < p_u < math.inf:
+        raise ValueError(f"Monte Carlo needs a finite, positive "
+                         f"transmit_snr, got {p_u}")
 
 
 def _check_system(config, fading, home_cell, user=None):
-    """Raise ValueError unless `fading` has the (L, K) of `config`, p_u is
-    finite (not inf/inf), `home_cell` is one of its cells and `user`, when
+    """Raise ValueError unless `fading` has the (L, K) of `config`, p_u
+    passes `_check_snr`, `home_cell` is one of its cells and `user`, when
     given, one of its users (a negative index would wrap around)."""
     _check_dimensions(config, fading)
-    if not math.isfinite(config.transmit_snr):
-        raise ValueError(f"Monte Carlo needs a finite transmit_snr, got "
-                         f"{config.transmit_snr}")
+    _check_snr(config.transmit_snr)
     if not 0 <= home_cell < config.num_cells:
         raise ValueError(f"home_cell {home_cell} outside "
                          f"0..{config.num_cells - 1}")

@@ -75,6 +75,10 @@ def test_rank_deficient_channel_raises():
     # least-squares answer for a channel that cannot separate its users
     with pytest.raises(mc.RankDeficiencyError):
         mc._zf_front_end(g)[1](g[..., :1])
+    # more users than antennas: the SVD has fewer singular values than users
+    g = np.concatenate([col, 2j * col], axis=0).T[None]    # N = 1, K = 8
+    with pytest.raises(mc.RankDeficiencyError):
+        mc.zf_sinr(mc.ChannelRealization(0, g), 1.0)
 
 
 def _set_block_trials(monkeypatch, cfg, trials):
@@ -296,36 +300,62 @@ def test_zf_batch_matches_einsum_formula(cells):
     fad = symmetric_fading(cells, 4, 1.0, 0.2)
     g = np.stack([mc.sample_channels(cfg, fad, home, mc.trial_rng(8, t)).g
                   for t in range(12)])
-    # trial 5: two nearly parallel users, past the Gram condition gate
+    # trial 5: users 0, 1 and 2 span two dimensions (smallest singular
+    # value below 1e-16 of the largest), past the Gram condition gate
     g[5, home, :, 1] = g[5, home, :, 0] + 1e-9 * g[5, home, :, 2]
     gram = g[5, home].conj().T @ g[5, home]
     assert np.linalg.cond(gram, 1) > mc._COND_GATE
-    got = mc._zf_sinr_batch(g, home, p_u)
-    good = np.arange(12) != 5
-    np.testing.assert_allclose(got[good],
-                               _zf_sinr_einsum(g[good], home, p_u),
+    solvable = np.arange(12) != 5
+    np.testing.assert_allclose(mc._zf_sinr_batch(g[solvable], home, p_u),
+                               _zf_sinr_einsum(g[solvable], home, p_u),
                                rtol=1e-12, atol=0)
-    # trial 5 takes the QR pseudo-inverse, for the SINR and for detection
-    noise, pinv = mc._qr_pinv(g[5:6, home])
-    rows = [pinv[0] @ g[5, i] for i in range(cells) if i != home]
-    interf = sum((v.real ** 2 + v.imag ** 2).sum(axis=1) for v in rows)
-    assert np.array_equal(got[5], p_u / (p_u * interf + noise[0]))
-    # trial 7: user 3 is 1e-8 weaker, past the gate too but well posed;
-    # trial 5's users 0, 1 and 2 are dependent to rounding (smallest
-    # singular value 4.5e-17 of the largest), where lstsq's minimum-norm
-    # answer is another solution than the QR one
+    # trial 7: user 3 is 1e-8 weaker, past the gate too but well posed
     g[7, home, :, 3] *= 1e-8
     gram = g[7, home].conj().T @ g[7, home]
     assert np.linalg.cond(gram, 1) > mc._COND_GATE
+    pinv = np.linalg.pinv(g[7, home])
+    interf = sum((np.abs(pinv @ g[7, i]) ** 2).sum(axis=1)
+                 for i in range(cells) if i != home)
+    np.testing.assert_allclose(
+        mc._zf_sinr_batch(g[7:8], home, p_u)[0],
+        p_u / (p_u * interf + (np.abs(pinv) ** 2).sum(axis=1)),
+        rtol=1e-12, atol=0)
+    # a block that holds trial 5 fails loudly, for the SINR and for
+    # detection; before, its SINRs read about 1e-31
     y = mc.trial_rng(9, 0).standard_normal((12, 10, 2)).view(complex)
-    r = mc._zf_front_end(g[:, home])[1](y)[..., 0]
-    for t in (5, 7):
-        assert np.array_equal(r[t], mc._qr_pinv(g[t:t + 1, home])[1][0]
-                              @ y[t, :, 0])
-    solvable = np.arange(12) != 5
+    with pytest.raises(mc.RankDeficiencyError):
+        mc._zf_sinr_batch(g, home, p_u)
+    with pytest.raises(mc.RankDeficiencyError):
+        mc._zf_front_end(g[:, home])[1](y)
+    r = mc._zf_front_end(g[solvable, home])[1](y[solvable])[..., 0]
     want = [np.linalg.lstsq(g[t, home], y[t, :, 0], rcond=None)[0]
             for t in np.flatnonzero(solvable)]
-    np.testing.assert_allclose(r[solvable], want, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(r, want, rtol=1e-12, atol=0)
+
+
+def test_exactly_singular_trial_fails_its_whole_block():
+    # the duplicated column makes the batched Gram inverse raise, so the
+    # whole block takes the SVD, which rejects that trial
+    cfg = SystemConfig(1, 2, 4, 1.0)
+    fad = symmetric_fading(1, 2)
+    g = np.stack([mc.sample_channels(cfg, fad, 0, mc.trial_rng(0, t)).g
+                  for t in range(6)])
+    g[3, 0, :, 1] = g[3, 0, :, 0]
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(g[:, 0].conj().swapaxes(1, 2) @ g[:, 0])
+    with pytest.raises(mc.RankDeficiencyError):
+        mc._zf_sinr_batch(g, 0, 1.0)
+    with pytest.raises(mc.RankDeficiencyError):
+        mc._zf_front_end(g[:, 0])[1](g[:, 0, :, :1])
+
+
+@pytest.mark.parametrize("p_u", [math.inf, math.nan, 0.0, -1.0])
+def test_zf_sinr_rejects_a_transmit_snr_that_is_not_finite_and_positive(p_u):
+    # at p_u = inf every SINR was inf/inf = NaN, with a RuntimeWarning
+    cfg, fad = scenario1()
+    r = mc.sample_channels(cfg, fad, 0, mc.trial_rng(1, 0))
+    with pytest.raises(ValueError, match="transmit_snr"):
+        mc.zf_sinr(r, p_u)
 
 
 def test_matrix_sinr_matches_model_distribution():
