@@ -33,10 +33,11 @@ def deterministic_sir(fading, cell, user, kappa):
     """
     if kappa <= 1:
         raise ValueError("kappa must exceed 1")
+    beta = fading.direct_gain(cell, user)
     t = _interference_trace(fading, cell)
     if t == 0.0:
         return math.inf
-    return fading.direct_gain(cell, user) * (kappa - 1.0) / t
+    return beta * (kappa - 1.0) / t
 
 
 def power_scaled_limit_rate(fading, cell, user, e_u):

@@ -3,13 +3,16 @@ symbol error rate (exact, high-SNR floor, three-point approximation), and
 outage probability.
 
 Every expression is exact for the post-ZF SINR law, but the closed rate
-contains binomial-weighted alternating sums that cancel catastrophically
-once N - K is large.  They are accumulated in extended precision with a
-propagated error estimate that includes each Ei-moment kernel's own
-(condition x 2.3e-16) and the rounding of every term (sum |terms| x the
-long-double epsilon).  The closed rate runs no quadrature: it is accepted
-whole when that estimate is at most 1e-8 relative, the special-function
-layer's oracle contract; otherwise the whole call goes to
+is a sum over the partial-fraction ("characteristic") weights chi of the
+interference law, which this module alone reads and builds from the gains
+on each call (`_partial_fractions`), and its binomial-weighted alternating
+sums cancel catastrophically once N - K is large.  They are accumulated in
+extended precision with a propagated error estimate that includes each
+Ei-moment kernel's own (condition x 2.3e-16) and the rounding of every
+term (sum |terms| x the long-double epsilon).  The closed rate runs no
+quadrature: it is accepted whole when chi sums to 1 within
+COEFFICIENT_SUM_TOL and that estimate is at most 1e-8 relative, the
+special-function layer's oracle contract; otherwise the whole call goes to
 `rate_by_quadrature` and the event is recorded in the caller's QualityLog.
 
 The fallback rate and the Jensen bound are one trapezoid sum each of
@@ -227,6 +230,38 @@ _EPS_LD = float(np.finfo(np.longdouble).eps)
 _EI_RELERR_PER_COND = 2.3e-16
 _U_RELERR = 1e-14           # terminating Tricomi-U sum of positive terms
 _RATE_RELERR_LIMIT = 1e-8   # accepted propagated error of the closed rate
+# The weights chi sum to 1 (the MGF at s = 0); a larger miss means they have
+# lost their accuracy, and the sum built on them is rejected.
+COEFFICIENT_SUM_TOL = 1e-6
+
+
+def _partial_fractions(expansion):
+    """Weights chi[m][n-1] of E e^{sZ} = prod_m (1 - mu_m s)^-tau_m in the
+    basis (1 - mu_m s)^-n, one longdouble array of length tau[m] per
+    distinct gain: around each mu_m, with u = 1 - mu_m s, the other factors
+    are exp of a power series from their exact log-derivatives, and
+    chi_{m,n} is its (tau_m - n)-th coefficient.  Extended precision is
+    cheap insurance against the expansion's cancellation."""
+    mu, tau = expansion.mu, expansion.tau
+    ld = np.longdouble
+    chi = []
+    for m in range(mu.size):
+        t_m, others = int(tau[m]), np.arange(mu.size) != m
+        ratios = mu[others].astype(ld) / ld(mu[m])
+        taus = tau[others].astype(ld)
+        # g(u) = prod_j (A_j + B_j u)^{-tau_j}, A = 1 - ratio, B = ratio
+        a = ld(1.0) - ratios
+        c = np.zeros(t_m, dtype=ld)
+        c[0] = np.prod(a ** (-taus)) if ratios.size else ld(1.0)
+        if t_m > 1 and ratios.size:
+            w = ratios / a  # B_j / A_j
+            h = np.array([ld(-1.0) ** k / k * np.sum(taus * w ** k)
+                          for k in range(1, t_m)], dtype=ld)
+            for k in range(1, t_m):
+                c[k] = np.sum(np.arange(1, k + 1, dtype=ld) * h[:k]
+                              * c[k - 1::-1]) / k
+        chi.append(c[::-1])  # chi_{m,n} = c_{tau_m - n}
+    return tuple(chi)
 
 
 def _rate_general(config, beta, expansion):
@@ -240,7 +275,10 @@ def _rate_general(config, beta, expansion):
     summed over w = N-K-p with alternating binomial weights.  Every kernel
     is read from the term's closed recursion, none is integrated, and each
     kernel's error estimate is propagated so that cancellation in either
-    layer is visible to the guard.
+    layer is visible to the guard.  The weights chi are built per call,
+    after the checks that need only the gains, and weights that miss
+    summing to 1 by more than COEFFICIENT_SUM_TOL reject the sum as
+    (nan, inf, inf), as does any term outside the kernels' range.
     """
     nu = config.zf_shape
     big_j = nu - 1  # N - K
@@ -249,17 +287,26 @@ def _rate_general(config, beta, expansion):
     b_in = 1.0 / (beta * p_u)
     if b_in > _LOG_LD_MAX:  # e^{b_in} itself leaves the long-double range
         return math.nan, math.inf, math.inf
+    # the kernel domain alph = 1/mu - 1/beta > 0 holds for every gain once
+    # it holds for the largest
+    if 1.0 / float(expansion.mu[0]) - 1.0 / beta <= 0:
+        return math.nan, math.inf, math.inf
+    weights = _partial_fractions(expansion)
+    miss = float(sum(np.sum(c) for c in weights) - 1)
+    if not abs(miss) <= COEFFICIENT_SUM_TOL:
+        return math.nan, math.inf, math.inf
     ld = np.longdouble
     exp_b = np.exp(ld(b_in))
     total = ld(0.0)
     total_abs = ld(0.0)
     err = ld(0.0)
-    for mu, n, chi in expansion.terms():
+    terms = ((mu, n, chi)
+             for mu, chi_m in zip(expansion.mu.astype(ld), weights)
+             for n, chi in enumerate(chi_m, 1))
+    for mu, n, chi in terms:
         if chi == 0.0:
             continue
         alph = 1.0 / float(mu) - 1.0 / beta
-        if alph <= 0:
-            return math.nan, math.inf, math.inf  # outside the kernel domain
         zmu = 1.0 / (float(mu) * p_u)
         if not _rate_terms_representable(n, big_j, zmu, alph / a_in,
                                          a_in, b_in, alph):
@@ -309,7 +356,8 @@ def rate_exact(config, fading, expansion, user, cell, quality=None):
     Uses the general formula (labelled `exact_distinct` when every
     eigenvalue is simple) when its propagated error estimate is at most
     1e-8 relative, and the product-form integral otherwise: when the sums
-    cancel (large N - K) or an eigenvalue exceeds the direct gain.
+    cancel (large N - K), an eigenvalue reaches the direct gain, or the
+    partial-fraction weights miss summing to 1.
     """
     _finite_snr(config, "rate_exact")
     beta = fading.direct_gain(cell, user)
@@ -399,10 +447,11 @@ def outage_exact(config, fading, expansion, user, cell, gamma_th):
     exponential of mean mu is geometric with ratio c mu / (1 + c mu).  So
     the outage is the tail of Poisson(c / p_u) plus one negative binomial
     per distinct gain: positive terms over the gains, not the expansion."""
+    beta = fading.direct_gain(cell, user)
     edge = _cdf_edge(gamma_th, "gamma_th")
     if edge is not None:
         return edge
-    c = gamma_th / fading.direct_gain(cell, user)
+    c = gamma_th / beta
     return _count_tail(c / config.transmit_snr, expansion.tau,
                        c * expansion.mu, config.zf_shape)
 
@@ -420,9 +469,9 @@ def log_outage_exact(config, fading, expansion, user, cell, gamma_th):
     which works in the log domain: finite where the outage lies below the
     double range (ln P = -1386.02 at N = 500, gamma_th = 0.5, where
     `outage_exact` returns 0.0)."""
+    model = make_sinr_model(config, fading, user, cell, expansion=expansion)
     edge = _cdf_edge(gamma_th, "gamma_th")
     if edge is not None:
         return 0.0 if edge else -math.inf
-    model = make_sinr_model(config, fading, user, cell, expansion=expansion)
     log_v, upper = _log_cdf(model, gamma_th)
     return float(np.log(-np.expm1(log_v)) if upper else log_v)

@@ -4,14 +4,12 @@ The interference seen by one base station after zero-forcing is a weighted
 sum of independent exponentials whose rates are the cross-cell large-scale
 gains.  `build_profile` groups those gains into distinct values with
 multiplicities, the law (mu, tau) that every metric reads, and the law
-checks itself when built.  Its partial-fraction ("characteristic")
-coefficients are built only when first read, by the closed rate sum; the
-rate's fallback and the CDF arbiter read the gains.
+checks itself when built.  The law is only its gains: the one reader of
+its partial-fraction ("characteristic") weights, the paper's closed rate
+sum, builds them itself in `closedform`.
 """
 
-import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -28,11 +26,6 @@ __all__ = [
 
 # Diagonal entries closer than this (relatively) are the same eigenvalue.
 CLUSTER_TOL = 1e-12
-# Distinct eigenvalues closer than this make the expansion ill-conditioned.
-NEAR_DEGENERATE_TOL = 1e-6
-# The coefficients sum to 1 (the MGF at s = 0); a larger miss means the
-# expansion has lost its accuracy.
-COEFFICIENT_SUM_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -85,6 +78,13 @@ class LargeScaleFading:
         return self.beta.shape[2]
 
     def direct_gain(self, cell, user):
+        """beta[cell, cell, user]; ValueError for a cell outside 0..L-1 or a
+        user outside 0..K-1, where a negative index would silently read
+        another link."""
+        cells, _, users = self.beta.shape
+        if not (0 <= cell < cells and 0 <= user < users):
+            raise ValueError(f"(cell, user) = ({cell}, {user}) outside "
+                             f"0..{cells - 1} x 0..{users - 1}")
         return float(self.beta[cell, cell, user])
 
 
@@ -101,8 +101,7 @@ class CharacteristicExpansion:
     """The law of the interference power Z: the distinct gains mu_m with
     multiplicities tau_m, E e^{sZ} = prod_m (1 - mu_m s)^-tau_m.
 
-    Its partial-fraction weights `chi` are built on first read: only the
-    closed rate sum and `mgf` use them.  A law that is not of this form
+    It holds the gains and nothing else.  A law that is not of this form
     (gains not finite, positive and strictly decreasing with relative gaps
     above CLUSTER_TOL, multiplicities not positive integers, or lengths
     that differ) raises ValueError when built.
@@ -131,85 +130,13 @@ class CharacteristicExpansion:
     def is_empty(self):
         return self.mu.size == 0
 
-    @cached_property
-    def chi(self):
-        """Weights chi[m][n-1] of the product in the basis (1 - mu_m s)^-n,
-        one longdouble array of length tau[m] per m: around each mu_m, with
-        u = 1 - mu_m s, the other factors are exp of a power series from
-        their exact log-derivatives, and chi_{m,n} is its (tau_m - n)-th
-        coefficient.  Extended precision is cheap insurance against the
-        expansion's cancellation.  Cached on first read; two threads that
-        read it at once may both compute it, and get the same value."""
-        mu, tau = self.mu, self.tau
-        if self.is_empty:
-            return ()
-        gap = _min_relative_gap(mu)
-        if gap < NEAR_DEGENERATE_TOL:
-            warnings.warn(
-                "nearly degenerate eigenvalues (relative gap "
-                f"{gap:.2e}); the expansion may be ill-conditioned",
-                RuntimeWarning)
-        chi = []
-        ld = np.longdouble
-        for m in range(mu.size):
-            t_m, others = int(tau[m]), np.arange(mu.size) != m
-            ratios = mu[others].astype(ld) / ld(mu[m])
-            taus = tau[others].astype(ld)
-            # g(u) = prod_j (A_j + B_j u)^{-tau_j}, A = 1 - ratio, B = ratio
-            a = ld(1.0) - ratios
-            c = np.empty(t_m, dtype=ld)
-            c[0] = np.prod(a ** (-taus)) if ratios.size else ld(1.0)
-            if t_m > 1:
-                w = ratios / a  # B_j / A_j
-                h = np.array([ld(-1.0) ** k / k * np.sum(taus * w ** k)
-                              for k in range(1, t_m)], dtype=ld)
-                for k in range(1, t_m):
-                    c[k] = np.sum(np.arange(1, k + 1, dtype=ld) * h[:k]
-                                  * c[k - 1::-1]) / k
-            # chi_{m,n} = c_{tau_m - n}
-            chi.append(c[::-1].copy())
-        miss = float(sum(np.sum(c) for c in chi) - ld(1.0))
-        if not abs(miss) <= COEFFICIENT_SUM_TOL:
-            warnings.warn(
-                f"partial-fraction coefficients sum to 1 {miss:+.2e}; the "
-                "expansion has lost its accuracy and the closed forms built "
-                "on it are unreliable", RuntimeWarning)
-        return tuple(chi)
-
-    def terms(self):
-        """Yield (mu_m, n, chi_mn) over every term of the expansion, in
-        extended precision."""
-        for mu_m, chi_m in zip(self.mu, self.chi):
-            mu_m = np.longdouble(mu_m)
-            for n, chi in enumerate(chi_m, 1):
-                yield mu_m, n, chi
-
     def rates(self):
         """The underlying exponential means: each mu_m repeated tau_m times."""
         return np.repeat(self.mu, self.tau)
 
-    def mgf(self, s):
-        """E e^{s Z} via the expansion; defined for s < 1/max(mu)."""
-        if self.is_empty:
-            return 1.0
-        return float(sum(chi * (1 - mu_m * s) ** -n
-                         for mu_m, n, chi in self.terms()))
-
-    def mgf_exact(self, s):
-        """E e^{s Z} directly from the product form (reference path)."""
-        ld = np.longdouble
-        return float(np.prod((1 - self.mu.astype(ld) * ld(s))
-                             ** -self.tau.astype(ld)))
-
     @staticmethod
     def empty():
         return CharacteristicExpansion(np.array([]), np.array([], dtype=int))
-
-
-def _min_relative_gap(mu):
-    """Smallest relative gap between consecutive decreasing gains; 1 when
-    there are fewer than two."""
-    return float(np.min((mu[:-1] - mu[1:]) / mu[:-1])) if mu.size > 1 else 1.0
 
 
 def _check_dimensions(config, gains, names=("num_cells", "users_per_cell")):
@@ -230,9 +157,9 @@ def build_profile(config, fading, home_cell):
 
     Gains whose relative difference is within CLUSTER_TOL are one
     eigenvalue; every other gain is kept exactly, however close.  A
-    near-degenerate pair ill-conditions only the partial-fraction weights,
-    which warn when first read; the other metrics read the gains
-    themselves.  Raises ValueError when the (L, K) of `config` differ from
+    near-degenerate pair ill-conditions only the closed rate sum's
+    partial-fraction weights, whose check then sends that sum to its
+    fallback.  Raises ValueError when the (L, K) of `config` differ from
     the tensor's or `home_cell` is not one of its cells.
     """
     _check_dimensions(config, fading)

@@ -14,7 +14,7 @@ every transform of gamma is that CDF integrated by parts, a fixed trapezoid
 sum of positive terms.  The CDF arbiter `sinr_cdf_quadrature` inverts the
 transform of X - gamma_th Z instead, one fixed trapezoid sum on a parabola
 through its saddle point (`_log_cdf`) for every law, L = 1 included; none of
-these reads the expansion's weights chi, and the arbiter reads no count law.
+these reads partial-fraction weights, and the arbiter reads no count law.
 """
 
 import math

@@ -366,15 +366,18 @@ def test_criterion_11_special_function_layer():
     checks = [(f"{name} vs oracle (100 draws)", val < 1e-8, f"worst {val:.2e}")
               for name, val in worst.items()]
 
-    from test_fading import _draw_profile
+    # the closed rate sum's partial-fraction MGF against the product form,
+    # computed in extended precision from the gains alone
+    from test_fading import _draw_profile, mgf_by_weights, mgf_product
     rng = np.random.default_rng(20240201)
     worst_mgf = 0.0
     for _ in range(50):
         exp = _draw_profile(rng)
         smax = 1.0 / exp.mu.max()
         for s in rng.uniform(-2.0 * smax, 0.9 * smax, size=20):
-            ref = exp.mgf_exact(float(s))
-            worst_mgf = max(worst_mgf, abs((exp.mgf(float(s)) - ref) / ref))
+            ref = mgf_product(exp, float(s))
+            worst_mgf = max(worst_mgf,
+                            abs((mgf_by_weights(exp, float(s)) - ref) / ref))
     checks.append(("MGF reconstruction (50 profiles)", worst_mgf < 1e-10,
                    f"worst {worst_mgf:.2e}"))
     report(11, checks)

@@ -17,6 +17,7 @@ from mumimo.fading import (CharacteristicExpansion, LargeScaleFading,
                            SystemConfig, build_profile, symmetric_fading)
 from mumimo.quadrature import (QuadratureSpec, integrate,
                                integrate_semi_infinite)
+from test_fading import weight_terms
 from test_sinrdist import mgf_closed, pdf_z
 
 
@@ -306,10 +307,8 @@ def test_rate_matches_mpmath(system, method):
     # the fallback used to integrate the partial-fraction density, and
     # raised QuadratureError on the broken profiles and on every drop
     mp = pytest.importorskip("mpmath")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # chi, where broken
-        cfg, fad, exp = system()
-        res = cf.rate_exact(cfg, fad, exp, 0, 0)
+    cfg, fad, exp = system()
+    res = cf.rate_exact(cfg, fad, exp, 0, 0)
     assert res.method == method
     want = rate_mpmath(mp, cfg, fad, cfg.transmit_snr)
     np.testing.assert_allclose(res.value, want, rtol=1e-13)
@@ -321,19 +320,48 @@ def test_rate_fallback_runs_no_adaptive_integral(monkeypatch):
 
     for module in (quadrature, cf):
         monkeypatch.setattr(module, "integrate", refuse)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for system in (scenario1(500, 0.1),
-                       profile_system(4, 10, BREAKDOWN_GAINS, 20, 10.0),
-                       network_drop_system()):
-            res = cf.rate_exact(*system, 0, 0)
-            assert res.method == "quadrature_fallback" and res.value > 0.0
-    # and it reads the gains only: no partial-fraction weights, no warning
+    for system in (scenario1(500, 0.1),
+                   profile_system(4, 10, BREAKDOWN_GAINS, 20, 10.0),
+                   network_drop_system()):
+        res = cf.rate_exact(*system, 0, 0)
+        assert res.method == "quadrature_fallback" and res.value > 0.0
+    # and it reads the gains only: no partial-fraction weights
+    monkeypatch.setattr(cf, "_partial_fractions", refuse)
+    cfg, fad, exp = network_drop_system()
+    assert cf.rate_by_quadrature(cfg, fad, exp, 0, 0) > 0.0
+
+
+def test_rate_outside_the_kernel_domain_builds_no_weights(monkeypatch):
+    # on this drop a cross gain exceeds the direct gain, so the closed sum
+    # is rejected from the gains alone: the weights of its 840 gains were
+    # built (40 ms) before the first term rejected the sum
+    cfg, fad, exp = network_drop_system(reuse=1, antennas=20, seed=0)
+    assert exp.mu[0] >= fad.direct_gain(0, 0)
+    want = cf.rate_exact(cfg, fad, exp, 0, 0)
+    assert want.method == "quadrature_fallback"
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built the partial-fraction weights")
+
+    monkeypatch.setattr(cf, "_partial_fractions", refuse)
+    assert cf.rate_exact(cfg, fad, exp, 0, 0) == want
+
+
+@pytest.mark.parametrize("cross", [
+    BREAKDOWN_GAINS, np.repeat([0.1, 0.2, 0.3], 10)],
+    ids=["breakdown", "0.1/0.2/0.3"])
+def test_rate_on_broken_weights_falls_back_with_one_event(cross):
+    # the weights of these gains miss summing to 1; this warned, and the
+    # sum then failed its guard; the miss is now the guard's input, logged
+    # like any other trip, with no warning
+    cfg, fad, exp = profile_system(4, 10, cross, 20, 10.0)
+    quality = cf.QualityLog()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        cfg, fad, exp = network_drop_system()
-        assert cf.rate_by_quadrature(cfg, fad, exp, 0, 0) > 0.0
-        assert "chi" not in vars(exp)
+        res = cf.rate_exact(cfg, fad, exp, 0, 0, quality=quality)
+    assert res.method == "quadrature_fallback" and res.cancellation_flagged
+    assert len(quality.events) == 1
+    assert res.value == cf.rate_by_quadrature(cfg, fad, exp, 0, 0)
 
 
 def test_rate_at_low_snr_falls_back_without_overflowing():
@@ -351,11 +379,9 @@ def test_rate_on_network_drops_falls_back_between_its_bounds(reuse):
     # every drop tried trips the closed rate's guard; the fallback lies
     # between the Jensen bound and the interference-free rate
     for seed in (0, 1):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            cfg, fad, exp = network_drop_system(reuse=reuse, seed=seed)
-            quality = cf.QualityLog()
-            res = cf.rate_exact(cfg, fad, exp, 0, 0, quality=quality)
+        cfg, fad, exp = network_drop_system(reuse=reuse, seed=seed)
+        quality = cf.QualityLog()
+        res = cf.rate_exact(cfg, fad, exp, 0, 0, quality=quality)
         assert res.method == "quadrature_fallback"
         assert res.cancellation_flagged and quality.tripped
         bound = cf.rate_lower_bound(cfg, fad, exp, 0, 0).value
@@ -396,7 +422,7 @@ def test_rate_sums_build_one_ei_moment_sequence_per_term(monkeypatch,
     monkeypatch.setattr(cf, "_ei_moment_closed", counted_closed)
     value, _, _ = cf._rate_general(cfg, fad.direct_gain(0, 0), exp)
     assert math.isfinite(value)
-    terms = sum(1 for _, _, chi in exp.terms() if chi != 0.0)
+    terms = sum(1 for _, _, chi in weight_terms(exp) if chi != 0.0)
     big_j = cfg.zf_shape - 1
     assert len(sequences) == terms
     # one kernel per (term, w = J .. 0), each reading its term's sequence
@@ -529,7 +555,7 @@ def test_theta_rule_matches_adaptive_integration(psk_order):
 
 class GainsOnly:
     """An expansion that holds the gains (mu, tau) and nothing else: reading
-    any other attribute (chi, terms(), is_empty, ...) fails the test."""
+    any other attribute (is_empty, rates(), ...) fails the test."""
 
     def __init__(self, mu, tau):
         self.mu, self.tau = mu, tau
@@ -560,7 +586,7 @@ def test_ser_mgf_and_bound_run_no_integral_and_read_only_the_gains(
     for module, name in ((quadrature, "integrate"), (sd, "hyp2f0_neg"),
                          (sd, "expint_en_scaled")):
         monkeypatch.setattr(module, name, refuse)
-    monkeypatch.setattr(CharacteristicExpansion, "chi", property(refuse))
+    monkeypatch.setattr(cf, "_partial_fractions", refuse)
     sd._cdf.cache_clear()
     for (cfg, fad, _), values in zip(systems, want):
         exp = gains_only(cfg, fad)
@@ -596,8 +622,8 @@ def test_ser_where_the_expansion_breaks_down_matches_monte_carlo(cross):
     # L=4, K=10, N=20, 10 dB: the partial-fraction expansion of these gains
     # misses summing to 1, and an SER integral over its density fails
     cfg, fad, exp = profile_system(4, 10, cross, 20, 10.0)
-    with pytest.warns(RuntimeWarning, match="lost its accuracy"):
-        exp.chi
+    assert abs(sum(c for _, _, c in weight_terms(exp)) - 1) \
+        > cf.COEFFICIENT_SUM_TOL
     got = cf.ser_exact(cfg, fad, exp, cf.ModulationScheme(4), 0, 0)
     mean, sigma = ser_semi_analytic_monte_carlo(cfg, fad, exp, 2012)
     assert abs(got - mean) <= 5.0 * sigma
@@ -630,28 +656,34 @@ def test_ser_on_a_network_drop_matches_monte_carlo():
 @pytest.mark.parametrize("system", [
     lambda: profile_system(4, 10, BREAKDOWN_GAINS, 20, 10.0),
     network_drop_system], ids=["breakdown", "network-drop"])
-def test_only_the_closed_rate_builds_the_expansion_weights(system):
+def test_only_the_closed_rate_builds_the_expansion_weights(monkeypatch,
+                                                           system):
     # the weights chi of these gains miss summing to 1; every metric but
-    # the closed rate reads the gains only, so none of them builds chi or
-    # warns about it
+    # the closed rate reads the gains only, so none of them builds chi
+    built = []
+    build = cf._partial_fractions
+
+    def counted(expansion):
+        built.append(expansion)
+        return build(expansion)
+
+    monkeypatch.setattr(cf, "_partial_fractions", counted)
     mod = cf.ModulationScheme(4)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        cfg, fad, exp = system()
-        model = sd.make_sinr_model(cfg, fad, 0, 0, expansion=exp)
-        for ser in (cf.ser_exact, cf.ser_approx, cf.ser_high_snr):
-            assert 0.0 <= ser(cfg, fad, exp, mod, 0, 0) <= 1.0
-        for outage in (cf.outage_exact, cf.outage_small_threshold):
-            assert 0.0 <= outage(cfg, fad, exp, 0, 0, 1.0) <= 1.0
-        assert cf.rate_lower_bound(cfg, fad, exp, 0, 0).value > 0.0
-        for mgf in (sd.mgf_sinr, sd.mgf_sinr_high_snr):
-            assert 0.0 <= mgf(model, 1.0) <= 1.0
-        assert 0.0 <= sd.sinr_cdf_quadrature(model, 1.0) <= 1.0
-        assert "chi" not in vars(exp)
-        # the closed rate reads chi first, so its warning, raised as an
-        # error here, stops the call before any rate work
-        with pytest.raises(RuntimeWarning, match="sum to 1"):
-            cf.rate_exact(cfg, fad, exp, 0, 0)
+    cfg, fad, exp = system()
+    model = sd.make_sinr_model(cfg, fad, 0, 0, expansion=exp)
+    for ser in (cf.ser_exact, cf.ser_approx, cf.ser_high_snr):
+        assert 0.0 <= ser(cfg, fad, exp, mod, 0, 0) <= 1.0
+    for outage in (cf.outage_exact, cf.outage_small_threshold):
+        assert 0.0 <= outage(cfg, fad, exp, 0, 0, 1.0) <= 1.0
+    assert cf.rate_lower_bound(cfg, fad, exp, 0, 0).value > 0.0
+    for mgf in (sd.mgf_sinr, sd.mgf_sinr_high_snr):
+        assert 0.0 <= mgf(model, 1.0) <= 1.0
+    assert 0.0 <= sd.sinr_cdf_quadrature(model, 1.0) <= 1.0
+    assert not built
+    # the closed rate builds chi once per call, and its miss sends the
+    # call to the fallback before any rate term
+    res = cf.rate_exact(cfg, fad, exp, 0, 0)
+    assert built == [exp] and res.method == "quadrature_fallback"
 
 
 def ser_by_density(model, rule):
@@ -759,8 +791,8 @@ def test_outage_on_expansion_breakdown_matches_mpmath():
     mp = pytest.importorskip("mpmath")
     gains = 0.05 * 4 ** (np.arange(30) / 29)
     cfg, fad, exp = profile_system(4, 10, gains, 20, 10.0)
-    with pytest.warns(RuntimeWarning, match="sum to 1"):
-        exp.chi
+    assert abs(sum(c for _, _, c in weight_terms(exp)) - 1) \
+        > cf.COEFFICIENT_SUM_TOL
     with mp.workdps(80):
         mus = [mp.mpf(float(g)) for g in gains]
         chi = [mp.fprod(m / (m - j) for j in mus if j != m) for m in mus]

@@ -1,11 +1,11 @@
-import sys
-import warnings
-from concurrent.futures import ThreadPoolExecutor
+import math
 
 import numpy as np
 import pytest
 
+from mumimo import asymptotic as asym
 from mumimo import closedform as cf
+from mumimo import sinrdist as sd
 from mumimo.fading import (CharacteristicExpansion, LargeScaleFading,
                            SystemConfig, build_profile,
                            characteristic_coefficients, load_fading_text,
@@ -102,9 +102,64 @@ def test_grouping_of_repeated_gains():
     np.testing.assert_array_equal(prof.tau, [1, 2, 1])
 
 
+@pytest.mark.parametrize("cell,user", [(0, -1), (0, 10), (-1, 0), (4, 0)],
+                         ids=["user-1", "user-K", "cell-1", "cell-L"])
+def test_indices_outside_the_system_raise(cell, user):
+    # user -1 read user K-1's gain and gave its rate, bound, outage and SER;
+    # cell -1 gave a deterministic SIR of 0.833 where cell 0 gives 10; user
+    # K raised IndexError
+    cfg = SystemConfig(4, 10, 20, 10.0)
+    fad = symmetric_fading(4, 10, 1.0, 0.1)
+    law = build_profile(cfg, fad, 0)
+    mod = cf.ModulationScheme(4)
+    calls = [
+        lambda: fad.direct_gain(cell, user),
+        lambda: cf.rate_exact(cfg, fad, law, user, cell),
+        lambda: cf.rate_by_quadrature(cfg, fad, law, user, cell),
+        lambda: cf.rate_lower_bound(cfg, fad, law, user, cell),
+        lambda: cf.ser_exact(cfg, fad, law, mod, user, cell),
+        lambda: cf.outage_exact(cfg, fad, law, user, cell, 1.0),
+        lambda: cf.outage_exact(cfg, fad, law, user, cell, math.inf),
+        lambda: cf.log_outage_exact(cfg, fad, law, user, cell, 0.0),
+        lambda: sd.make_sinr_model(cfg, fad, user, cell, expansion=law),
+        lambda: asym.deterministic_sir(fad, cell, user, 2.0),
+        lambda: asym.power_scaled_limit_rate(fad, cell, user, 10.0),
+        lambda: asym.power_scaled_fixed_ratio_rate(fad, cell, user, 10.0,
+                                                   2.0),
+        lambda: asym.required_kappa(fad, cell, user, 10.0, 0.9),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="outside"):
+            call()
+    assert fad.direct_gain(3, 9) == 1.0
+
+
+def weight_terms(law):
+    """(mu_m, n, chi_mn) over every term of the closed rate sum's
+    partial-fraction weights, in extended precision."""
+    for mu_m, chi_m in zip(law.mu.astype(np.longdouble),
+                           cf._partial_fractions(law)):
+        for n, chi in enumerate(chi_m, 1):
+            yield mu_m, n, chi
+
+
+def mgf_by_weights(law, s):
+    """E e^{sZ} as the partial-fraction sum of chi_mn (1 - mu_m s)^-n."""
+    return float(sum(chi * (1 - mu_m * s) ** -n
+                     for mu_m, n, chi in weight_terms(law)))
+
+
+def mgf_product(law, s):
+    """E e^{sZ} = prod_m (1 - mu_m s)^-tau_m in extended precision: the
+    reference, which reads no weights."""
+    ld = np.longdouble
+    return float(np.prod((1 - law.mu.astype(ld) * ld(s))
+                         ** -law.tau.astype(ld)))
+
+
 def test_single_eigenvalue_expansion_is_trivial():
     exp = CharacteristicExpansion(np.array([0.4]), np.array([7]))
-    chi = exp.chi[0]
+    chi = cf._partial_fractions(exp)[0]
     assert chi[-1] == pytest.approx(1.0)
     np.testing.assert_allclose(chi[:-1], 0.0, atol=1e-30)
 
@@ -115,34 +170,16 @@ def test_distinct_case_matches_product_formula():
     for m in range(4):
         direct = np.prod([1.0 / (1.0 - vals[j] / vals[m])
                           for j in range(4) if j != m])
-        np.testing.assert_allclose(exp.chi[m][0], direct, rtol=1e-12)
+        np.testing.assert_allclose(cf._partial_fractions(exp)[m][0], direct,
+                                   rtol=1e-12)
 
 
 def test_mixed_multiplicity_reproduces_mgf_at_probe_points():
     # mu = (2, 1), tau = (2, 1): reconstruction at s in {-1, -0.3, 0.2}
     exp = CharacteristicExpansion(np.array([2.0, 1.0]), np.array([2, 1]))
     for s in (-1.0, -0.3, 0.2):
-        np.testing.assert_allclose(exp.mgf(s), exp.mgf_exact(s), rtol=1e-10)
-
-
-def test_concurrent_first_reads_of_chi_agree():
-    # chi is cached without a lock, so threads that read it at once may
-    # each build it; every reader must still get the same weights
-    law = (np.array([0.4, 0.25, 0.1]), np.array([3, 2, 4]))
-    want = CharacteristicExpansion(*law).chi
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            for _ in range(20):
-                exp = CharacteristicExpansion(*law)
-                reads = list(pool.map(lambda _: exp.chi, range(16),
-                                      timeout=30))
-                for chi in reads + [exp.chi]:
-                    for got, ref in zip(chi, want, strict=True):
-                        np.testing.assert_array_equal(got, ref)
-    finally:
-        sys.setswitchinterval(interval)
+        np.testing.assert_allclose(mgf_by_weights(exp, s),
+                                   mgf_product(exp, s), rtol=1e-10)
 
 
 def _draw_profile(rng):
@@ -157,7 +194,7 @@ def _draw_profile(rng):
             continue
         reps = rng.integers(1, 4, size=hits)
         exp = CharacteristicExpansion(vals, reps)
-        if sum(abs(c) for _, _, c in exp.terms()) < 1e5:
+        if sum(abs(c) for _, _, c in weight_terms(exp)) < 1e5:
             return exp
 
 
@@ -167,8 +204,9 @@ def test_mgf_reconstruction_over_random_profiles():
         exp = _draw_profile(rng)
         smax = 1.0 / exp.mu.max()
         for s in rng.uniform(-2.0 * smax, 0.9 * smax, size=20):
-            np.testing.assert_allclose(exp.mgf(float(s)),
-                                       exp.mgf_exact(float(s)), rtol=1e-10)
+            np.testing.assert_allclose(mgf_by_weights(exp, float(s)),
+                                       mgf_product(exp, float(s)),
+                                       rtol=1e-10)
 
 
 def test_coefficients_sum_to_one():
@@ -176,7 +214,7 @@ def test_coefficients_sum_to_one():
     for _ in range(50):
         exp = _draw_profile(rng)
         total = np.longdouble(0.0)
-        for _, _, chi in exp.terms():
+        for _, _, chi in weight_terms(exp):
             total += chi
         assert abs(float(total) - 1.0) < 1e-12
 
@@ -191,14 +229,8 @@ def test_general_algorithm_matches_distinct_formula():
         for m in range(5):
             direct = np.prod([1.0 / (1.0 - vals[j] / vals[m])
                               for j in range(5) if j != m])
-            np.testing.assert_allclose(exp.chi[m][0], direct, rtol=1e-12)
-
-
-def test_near_degenerate_warning():
-    exp = CharacteristicExpansion(np.array([1.0 + 1e-8, 1.0, 0.1]),
-                                  np.ones(3, dtype=int))
-    with pytest.warns(RuntimeWarning):
-        exp.chi  # the weights, and their warnings, come on first read
+            np.testing.assert_allclose(cf._partial_fractions(exp)[m][0],
+                                       direct, rtol=1e-12)
 
 
 def _cross_gain_fading(cross, cells=4, users=10):
@@ -212,22 +244,28 @@ def _cross_gain_fading(cross, cells=4, users=10):
     return SystemConfig(cells, users, 20, 10.0), LargeScaleFading(beta)
 
 
-def test_coefficient_sum_warns_when_the_expansion_breaks_down():
-    # these two sum to 1 + 9.2e-3 and 1 + 3.0e-4
+def test_coefficient_sum_rejects_the_closed_rate_on_a_broken_expansion(
+        monkeypatch):
+    # these two sum to 1 + 9.2e-3 and 1 + 3.0e-4, which once only warned;
+    # the miss now rejects the closed sum before any of its terms is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a term of a rejected sum")
+
+    monkeypatch.setattr(cf, "tricomi_u", refuse)
     geometric = 0.05 * 4.0 ** (np.arange(30) / 29)
     for cross in (geometric, np.repeat([0.1, 0.2, 0.3], 10)):
         cfg, fad = _cross_gain_fading(cross)
         exp = build_profile(cfg, fad, 0)
-        with pytest.warns(RuntimeWarning, match="sum to 1"):
-            exp.chi
-    # scenario 1 and an all-distinct profile stay silent
+        miss = float(sum(c for _, _, c in weight_terms(exp)) - 1)
+        assert miss > cf.COEFFICIENT_SUM_TOL
+        value, cond, err = cf._rate_general(cfg, 1.0, exp)
+        assert math.isnan(value) and cond == err == math.inf
+    # scenario 1 and an all-distinct profile sum to 1
     distinct = 0.05 * 10.0 ** (np.arange(8) / 7)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for cfg, fad in (_cross_gain_fading([0.1] * 30),
-                         _cross_gain_fading(distinct, cells=3, users=4)):
-            exp = build_profile(cfg, fad, 0)
-            assert abs(sum(c for _, _, c in exp.terms()) - 1) < 1e-12
+    for cfg, fad in (_cross_gain_fading([0.1] * 30),
+                     _cross_gain_fading(distinct, cells=3, users=4)):
+        exp = build_profile(cfg, fad, 0)
+        assert abs(sum(c for _, _, c in weight_terms(exp)) - 1) < 1e-12
 
 
 def test_rates_expand_the_diagonal():

@@ -10,6 +10,7 @@ from mumimo.fading import LargeScaleFading, SystemConfig, symmetric_fading
 from mumimo.montecarlo import ks_two_sample
 from mumimo.quadrature import integrate_semi_infinite
 from mumimo.specfun import expint_en_scaled, hyp2f0_neg
+from test_fading import weight_terms
 
 
 def scenario1_model(n=20, k=10, cells=4, a=0.1, p_u=10.0):
@@ -45,7 +46,7 @@ def mgf_closed_sum(model, s):
     distinct = bool(np.all(model.interference.tau == 1))
     total = ld(0.0)
     total_abs = ld(0.0)
-    for mu, n, chi in model.interference.terms():
+    for mu, n, chi in weight_terms(model.interference):
         if chi == 0.0:
             continue
         lbin = ld(0.0)  # log C(nu, p) running
@@ -87,15 +88,16 @@ def mgf_closed(model, s):
 
 
 def pdf_z(dist, z):
-    """Density of the interference power from the partial-fraction weights
-    `dist.chi`: the reference density of the defining integrals."""
+    """Density of the interference power from the closed rate sum's
+    partial-fraction weights: the reference density of the defining
+    integrals."""
     if dist.is_empty:
         raise ValueError("no interference (L = 1): Z is identically zero")
     z = np.asarray(z, dtype=float)
     out = np.zeros(z.shape, dtype=np.longdouble)
     pos = z > 0
     zp = z[pos]
-    for mu, n, chi in dist.terms():
+    for mu, n, chi in weight_terms(dist):
         term = np.exp(-zp / mu + (n - 1) * np.log(zp / mu)
                       - np.longdouble(math.lgamma(n))) / mu
         out[pos] += chi * term
