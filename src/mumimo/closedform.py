@@ -28,7 +28,7 @@ gains, with no guard, no adaptive integral and no partial-fraction weights.
 import math
 import threading
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -115,7 +115,11 @@ class RateResult:
     # exact_general (exact_distinct when every eigenvalue is simple; same
     # formula) | lower_bound | quadrature_fallback
     method: str
-    cancellation_flagged: bool = False
+
+    @property
+    def cancellation_flagged(self):
+        """The closed sum's guard tripped and the quadrature was used."""
+        return self.method == "quadrature_fallback"
 
 
 class QualityLog:
@@ -132,11 +136,6 @@ class QualityLog:
     @property
     def tripped(self):
         return bool(self.events)
-
-
-def _note(quality, message):
-    if quality is not None:
-        quality.flag(message)
 
 
 # ---------------------------------------------------------------------------
@@ -369,11 +368,12 @@ def rate_exact(config, fading, expansion, user, cell, quality=None):
               else "exact_general")
     if math.isfinite(value) and rel_err <= _RATE_RELERR_LIMIT:
         return RateResult(value, method)
-    _note(quality, f"rate_exact: cancellation guard tripped "
-                   f"(condition {cond:.3g}, error estimate {rel_err:.3g}); "
-                   f"used quadrature")
+    if quality is not None:
+        quality.flag(f"rate_exact: cancellation guard tripped "
+                     f"(condition {cond:.3g}, error estimate {rel_err:.3g}); "
+                     f"used quadrature")
     value = rate_by_quadrature(config, fading, expansion, user, cell)
-    return RateResult(value, "quadrature_fallback", cancellation_flagged=True)
+    return RateResult(value, "quadrature_fallback")
 
 
 def rate_lower_bound(config, fading, expansion, user, cell):
@@ -389,21 +389,17 @@ def rate_lower_bound(config, fading, expansion, user, cell):
     return RateResult(value, "lower_bound")
 
 
-def cell_sum_rate(config, fading, cell, expansion, method="exact",
-                  quality=None):
-    """Per-cell sum rate: K times the mean per-user rate.
+def cell_sum_rate(config, fading, cell, expansion, quality=None):
+    """Per-cell sum rate: K times the mean per-user `rate_exact`.
 
     Symmetric profiles (all users of the cell identical) are computed once
     and scaled by K.
     """
-    fn = {"exact": partial(rate_exact, quality=quality),
-          "bound": rate_lower_bound}[method]
     beta_row = fading.beta[cell, cell, :]
-    if np.all(beta_row == beta_row[0]):
-        return config.users_per_cell * fn(config, fading, expansion, 0,
-                                          cell).value
-    vals = [fn(config, fading, expansion, k, cell).value
-            for k in range(config.users_per_cell)]
+    users = range(1 if np.all(beta_row == beta_row[0])
+                  else config.users_per_cell)
+    vals = [rate_exact(config, fading, expansion, k, cell, quality).value
+            for k in users]
     return config.users_per_cell * float(np.mean(vals))
 
 

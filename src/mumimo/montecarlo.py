@@ -13,6 +13,8 @@ yielded in trial order, so neither the block size nor the thread count
 changes a draw or a result.  Neither is a setting.  A block restarts one
 Philox generator in place from trial to trial and scales its channels once,
 and detects a whole block at once through one zero-forcing front end.
+The tests hold the two-sample Kolmogorov-Smirnov statistic that compares
+these SINR draws with `sinrdist.sample_sinr`.
 """
 
 import math
@@ -36,7 +38,6 @@ __all__ = [
     "estimate_rate",
     "estimate_ser",
     "estimate_outage",
-    "ks_two_sample",
 ]
 
 _COND_GATE = 1e14
@@ -369,22 +370,3 @@ def estimate_outage(config, fading, plan, gamma_th, home_cell=0, user=None):
     return _sinr_estimate(config, fading, plan, home_cell,
                           lambda gam: gam <= gamma_th, user)
 
-
-# ---------------------------------------------------------------------------
-# Kolmogorov-Smirnov helpers used by the distributional-equality checks
-# ---------------------------------------------------------------------------
-
-def ks_two_sample(a, b):
-    """Two-sample KS statistic sup |F_a - F_b|."""
-    a = np.sort(np.asarray(a, dtype=float))
-    b = np.sort(np.asarray(b, dtype=float))
-    pooled = np.concatenate([a, b])
-    fa = np.searchsorted(a, pooled, side="right") / a.size
-    fb = np.searchsorted(b, pooled, side="right") / b.size
-    return float(np.abs(fa - fb).max())
-
-
-def ks_two_sample_critical(n, m, significance=0.01):
-    """Critical KS value at the given significance (1.628 at 1%)."""
-    c = {0.10: 1.224, 0.05: 1.358, 0.01: 1.628}[significance]
-    return c * math.sqrt((n + m) / (n * m))

@@ -1,7 +1,10 @@
-"""Adaptive Gauss-Kronrod quadrature on finite and semi-infinite intervals.
+"""Adaptive Gauss-Kronrod quadrature on finite and semi-infinite intervals,
+with its accuracy budget `QuadratureSpec` and the `QuadratureError` it
+raises when that budget cannot be met.
 
 It serves only the reference kernels of `specfun` that are integrals
-(Tricomi U, 2F0, the log-moment and Ei-moment quadratures) and the tests.
+(Tricomi U, 2F0, the log-moment and Ei-moment quadratures) and the tests,
+so `import mumimo` does not re-export it; import it from `mumimo.quadrature`.
 It is not the package's arbiter: the CDF arbiter is the saddle-point sum
 `sinrdist._log_cdf`, and the rate falls back to the product-form integral
 `closedform._product_form_integral`, both fixed trapezoid sums.
@@ -12,8 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import QuadratureError
 
 __all__ = [
     "QuadratureSpec",
@@ -56,6 +57,10 @@ _NODES = np.concatenate([-_XGK[:7], _XGK[::-1]])
 _W15 = np.concatenate([_WGK[:7], _WGK[::-1]])
 _W7 = np.zeros(15)
 _W7[1:14:2] = np.concatenate([_WG[:3], _WG[::-1]])
+
+
+class QuadratureError(RuntimeError):
+    """Raised when the requested tolerance cannot be met."""
 
 
 @dataclass(frozen=True)

@@ -8,13 +8,16 @@ module doubles as a fast sampler equivalent to full channel-matrix
 simulation: `sample_sinr` draws X / (Z + 1/p_u), p_u = inf too, and its
 interference kernel also draws the hexagonal network's Z (`cellnet`).
 
-The CDF of gamma (the outage) and the Erlang CDF are the tail of one
-Poisson plus negative-binomial count over the gains (`_count_tail`), and
-every transform of gamma is that CDF integrated by parts, a fixed trapezoid
-sum of positive terms.  The CDF arbiter `sinr_cdf_quadrature` inverts the
-transform of X - gamma_th Z instead, one fixed trapezoid sum on a parabola
-through its saddle point (`_log_cdf`) for every law, L = 1 included; none of
-these reads partial-fraction weights, and the arbiter reads no count law.
+One type, `SinrModel`, carries the whole law: the Erlang shape and scale of
+X, the gains of Z and p_u.  The CDF of gamma (the outage) is the tail of one
+Poisson plus negative-binomial count over the gains (`_count_tail`; with no
+gains it is the Erlang CDF of X), and every transform of gamma is that CDF
+integrated by parts, a fixed trapezoid sum of positive terms.  The CDF
+arbiter `sinr_cdf_quadrature` inverts the transform of X - gamma_th Z
+instead, one fixed trapezoid sum on a parabola through its saddle point
+(`_log_cdf`) for every law, L = 1 included, and returns 1 outright where a
+Chernoff bound puts 1 - P below every double; none of these reads
+partial-fraction weights, and the arbiter reads no count law.
 """
 
 import math
@@ -28,11 +31,8 @@ from .fading import CharacteristicExpansion, build_profile
 from .specfun import expint_en_scaled, hyp2f0_neg  # noqa: F401
 
 __all__ = [
-    "DesiredPowerDist",
     "SinrModel",
     "make_sinr_model",
-    "pdf_x",
-    "cdf_x",
     "mgf_sinr",
     "mgf_sinr_high_snr",
     "mgf_weighted_sum",
@@ -47,26 +47,20 @@ _ROWS = 256
 
 
 @dataclass(frozen=True)
-class DesiredPowerDist:
-    """Erlang law of the desired-signal power after zero-forcing."""
+class SinrModel:
+    """gamma = p_u X / (p_u Z + 1): X ~ Erlang(shape, scale), Z over the
+    gains of `interference`."""
 
-    shape: int   # N - K + 1
+    shape: int    # N - K + 1
     scale: float  # beta_llk
+    interference: CharacteristicExpansion
+    p_u: float
 
     def __post_init__(self):
         if self.shape < 1:
             raise ValueError("shape must be >= 1 (requires N >= K)")
         if self.scale <= 0:
             raise ValueError("scale must be positive")
-
-
-@dataclass(frozen=True)
-class SinrModel:
-    desired: DesiredPowerDist
-    interference: CharacteristicExpansion
-    p_u: float
-
-    def __post_init__(self):
         if not self.p_u > 0:
             raise ValueError(f"p_u must be positive, got {self.p_u}")
 
@@ -75,27 +69,13 @@ def make_sinr_model(config, fading, user, cell, expansion=None):
     """SinrModel for one user from a config + fading tensor."""
     if expansion is None:
         expansion = build_profile(config, fading, cell)
-    desired = DesiredPowerDist(config.zf_shape, fading.direct_gain(cell, user))
-    return SinrModel(desired, expansion, config.transmit_snr)
+    return SinrModel(config.zf_shape, fading.direct_gain(cell, user),
+                     expansion, config.transmit_snr)
 
 
 # ---------------------------------------------------------------------------
-# densities
+# the count law
 # ---------------------------------------------------------------------------
-
-def pdf_x(dist, x):
-    """Erlang density of the desired power."""
-    s, b = dist.shape, dist.scale
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    pos = x > 0
-    with np.errstate(divide="ignore"):
-        out[pos] = np.exp((s - 1) * np.log(x[pos] / b) - x[pos] / b
-                          - math.lgamma(s)) / b
-    if s == 1:
-        out = np.where(x == 0, 1.0 / b, out)
-    return float(out) if out.ndim == 0 else out
-
 
 _TAIL_RTOL = 1e-17  # neglected remainder of a summed tail, relative to it
 _TINY = np.finfo(float).tiny  # below it, q's ratios read 1 or inf
@@ -116,7 +96,7 @@ def _count_tail(lam, tau, odds, nu):
     """
     if nu <= 0 or lam == math.inf or np.isinf(odds).any():
         return 1.0
-    if lam <= 0 and len(tau) == 0:  # M = 0 (also x <= 0 in cdf_x)
+    if lam <= 0 and len(tau) == 0:  # M = 0
         return 0.0
     n = 2 * nu + 31
     while True:
@@ -150,18 +130,6 @@ def _count_tail(lam, tau, odds, nu):
             / math.log(rho))
 
 
-def cdf_x(dist, x):
-    """Erlang CDF P{X <= x} = P{Poisson(x / scale) >= shape}."""
-    x = np.asarray(x, dtype=float)
-    if np.isnan(x).any():
-        raise ValueError("cdf_x: x must not be NaN")
-    no_gains = np.empty(0)
-    out = np.vectorize(lambda v: _count_tail(v / dist.scale, no_gains,
-                                             no_gains, dist.shape),
-                       otypes=[float])(x)
-    return float(out) if out.ndim == 0 else out
-
-
 def _cdf_edge(t, name):
     """P{gamma <= t} where it is 0 (t <= 0) or 1 (t = inf), else None; a NaN
     t raises."""
@@ -189,7 +157,7 @@ def mgf_weighted_sum(model, s, w):
     a step of width ~ 1/sqrt(nu) there.  It marches both ways from the node
     nearest ln(1 / min s) to the first falling term below 1e-18 of the sum,
     so it finds the peak wherever the SINR puts it."""
-    nu, beta = model.desired.shape, model.desired.scale
+    nu, beta = model.shape, model.scale
     gains = model.interference
     law = (nu, 1.0 / (beta * model.p_u), tuple((gains.mu / beta).tolist()),
            tuple(gains.tau.tolist()))
@@ -262,8 +230,8 @@ def sample_sinr(model, rng, size=None):
     may be negative.
     """
     count = 1 if size is None else int(size)
-    x = rng.standard_gamma(model.desired.shape, size=count)
-    x *= model.desired.scale
+    x = rng.standard_gamma(model.shape, size=count)
+    x *= model.scale
     z = _interference(rng, model.interference.rates(), count)
     z += 1.0 / model.p_u
     with np.errstate(divide="ignore"):
@@ -274,6 +242,7 @@ def sample_sinr(model, rng, size=None):
 # trapezoid step and half-range in v: without the Gaussian (p_u = inf) the
 # slowest tail is |u|^-5 du = e^-4v dv (L = 2, K = N = 1)
 _STEP, _RANGE = 1 / 40, 16
+_LOG_TINY = math.log(5e-324)  # ln of the least positive double
 
 
 def _log_cdf(model, threshold):
@@ -290,13 +259,19 @@ def _log_cdf(model, threshold):
     rest at least like |u|^-3, and u = c sinh v, c = 1/sqrt(phi''), makes
     that tail exponential in v: one trapezoid sum serves every law.
     """
-    nu, beta, tau = model.desired.shape, model.desired.scale, \
-        model.interference.tau
+    nu, beta, tau = model.shape, model.scale, model.interference.tau
     y, a = threshold / model.p_u, threshold * model.interference.mu
     right = 1.0 / a.max() if a.size else math.inf
     hi = min(right, (nu + 1) / y) if y else right  # phi' > y - (nu + 1)/s
     if hi == math.inf:  # X / 0 = inf: no outage
         return -math.inf, False
+    # 1 - P <= e^{sy} E e^{-sY} at s = -1/(2 beta) (Chernoff); below every
+    # double the left saddle lies within rounding of -1/beta, or a^2 leaves
+    # the double range, so P = 1 is returned before either saddle is sought
+    if (nu * math.log(2.0) - 0.5 * y / beta
+            - tau @ np.logaddexp(0.0, np.log(a) - math.log(2.0 * beta))
+            < _LOG_TINY):
+        return -math.inf, True
     e = np.concatenate(([nu], tau, [1.0]))
 
     def slopes(s):  # -d/ds of each log factor of e^{phi(s)}, per unit e

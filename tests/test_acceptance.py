@@ -24,6 +24,7 @@ from mumimo import sinrdist as sd
 from mumimo.fading import (CharacteristicExpansion, LargeScaleFading,
                            SystemConfig, build_profile, symmetric_fading)
 
+from oracles import ks_two_sample, ks_two_sample_critical
 from test_closedform import rate_2d_quadrature, random_distinct_system
 
 
@@ -90,7 +91,7 @@ def test_criterion_03_sinr_model_ks():
     rng = np.random.default_rng(777)
     checks = []
     n_samp = 100_000
-    crit = mc.ks_two_sample_critical(n_samp, n_samp)
+    crit = ks_two_sample_critical(n_samp, n_samp)
     for trial in range(5):
         cells = int(rng.integers(2, 5))
         k = int(rng.integers(2, 7))
@@ -109,7 +110,7 @@ def test_criterion_03_sinr_model_ks():
         model = sd.make_sinr_model(cfg, fad, 0, 0)
         direct = sd.sample_sinr(model, np.random.default_rng(900 + trial),
                                 size=n_samp)
-        stat = mc.ks_two_sample(matrix, direct)
+        stat = ks_two_sample(matrix, direct)
         checks.append((f"config {trial} (L={cells} K={k} N={n})",
                        stat < crit, f"KS {stat:.5f} < {crit:.5f}"))
     report(3, checks)

@@ -17,6 +17,7 @@ from mumimo.fading import (CharacteristicExpansion, LargeScaleFading,
                            SystemConfig, build_profile, symmetric_fading)
 from mumimo.quadrature import (QuadratureSpec, integrate,
                                integrate_semi_infinite)
+from oracles import pdf_x
 from test_fading import weight_terms
 from test_sinrdist import mgf_closed, pdf_z
 
@@ -73,7 +74,7 @@ def rate_2d_quadrature(cfg, fad, user, cell, rtol=1e-8):
     pdf_x pdf_z: the defining integral, fully numeric on both axes."""
     model = sd.make_sinr_model(cfg, fad, user, cell)
     p_u = cfg.transmit_snr
-    x_scale = model.desired.shape * model.desired.scale
+    x_scale = model.shape * model.scale
     inner_spec = QuadratureSpec(relative_tolerance=rtol / 10,
                                 absolute_tolerance=1e-14)
     outer_spec = QuadratureSpec(relative_tolerance=rtol,
@@ -83,7 +84,7 @@ def rate_2d_quadrature(cfg, fad, user, cell, rtol=1e-8):
         denom = p_u * z + 1.0
         return integrate_semi_infinite(
             lambda x: math.log1p(p_u * x / denom)
-            * sd.pdf_x(model.desired, x), 0.0, inner_spec, scale=x_scale)
+            * pdf_x(model, x), 0.0, inner_spec, scale=x_scale)
 
     if model.interference.is_empty:
         return inner(0.0) / math.log(2.0)
@@ -394,10 +395,6 @@ def test_cell_sum_rate_symmetric_shortcut():
     total = cf.cell_sum_rate(cfg, fad, 0, exp)
     single = cf.rate_exact(cfg, fad, exp, 0, 0).value
     np.testing.assert_allclose(total, 10 * single, rtol=1e-12)
-    # the log goes to the exact rate only; the bound has no fallback
-    bound = cf.cell_sum_rate(cfg, fad, 0, exp, method="bound",
-                             quality=cf.QualityLog())
-    assert bound == 10 * cf.rate_lower_bound(cfg, fad, exp, 0, 0).value
 
 
 @pytest.mark.parametrize("system", [
@@ -691,7 +688,7 @@ def ser_by_density(model, rule):
     conditional Erlang transform against the partial-fraction density of
     Z: the SER's former method, kept as an arbiter."""
     s, w = rule
-    nu, beta, t0 = model.desired.shape, model.desired.scale, 1 / model.p_u
+    nu, beta, t0 = model.shape, model.scale, 1 / model.p_u
 
     def f(z):
         z = np.asarray(z, dtype=float)
@@ -921,7 +918,6 @@ def test_quadrature_cdf_does_not_call_the_count_law(monkeypatch):
         raise AssertionError("the arbiter called the count law")
 
     monkeypatch.setattr(sd, "_count_tail", refuse)
-    monkeypatch.setattr(sd, "cdf_x", refuse)
     for system, values in zip(systems, want):
         model = sd.make_sinr_model(*system[:2], 0, 0, expansion=system[2])
         for gth, value in zip((0.5, 3.0), values):
@@ -1045,9 +1041,28 @@ def test_log_outage_matches_references_below_the_double_range():
                                empty, 0, 0, 1.0) == -math.inf
 
 
+@pytest.mark.parametrize("cells,n,p_u,first", [
+    (4, 20, 10.0, 18), (4, 20, 1e-3, 14), (1, 20, 10.0, 17), (1, 20, 1e-3, 14),
+    (4, 500, 10.0, 20)])
+def test_quadrature_cdf_is_one_where_one_minus_p_is_no_double(cells, n, p_u,
+                                                              first):
+    # at thresholds 10^first .. 10^307 the left saddle rounds to -1/beta:
+    # the arbiter divided by zero in its slopes, or squared a = gth mu past
+    # the double range (gth >= 1e154), where outage_exact returns 1.0
+    cfg, fad, exp = scenario1(n, 0.1, p_u=p_u, cells=cells)
+    model = sd.make_sinr_model(cfg, fad, 0, 0, expansion=exp)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for e in range(first, 308):
+            gth = 10.0 ** e
+            want = cf.outage_exact(cfg, fad, exp, 0, 0, gth)
+            assert sd.sinr_cdf_quadrature(model, gth) == want == 1.0, e
+            assert cf.log_outage_exact(cfg, fad, exp, 0, 0, gth) == 0.0, e
+
+
 @pytest.mark.parametrize("name", ["outage_exact", "outage_small_threshold",
                                   "log_outage_exact", "sinr_cdf_quadrature",
-                                  "cdf_x", "mgf_sinr"])
+                                  "mgf_sinr"])
 def test_infinite_argument_is_the_limit_and_nan_names_itself(name):
     cfg, fad, exp = scenario1(20, 0.1)
     model = sd.make_sinr_model(cfg, fad, 0, 0, expansion=exp)
@@ -1060,7 +1075,6 @@ def test_infinite_argument_is_the_limit_and_nan_names_itself(name):
             cfg, fad, exp, 0, 0, v), 0.0, "gamma_th"),
         "sinr_cdf_quadrature": (lambda v: sd.sinr_cdf_quadrature(model, v),
                                 1.0, "threshold"),
-        "cdf_x": (lambda v: sd.cdf_x(model.desired, v), 1.0, "x"),
         "mgf_sinr": (lambda v: sd.mgf_sinr(model, v), 0.0, "s"),
     }[name]
     assert call(math.inf) == at_inf
@@ -1073,7 +1087,11 @@ def test_outage_no_interference_is_erlang_cdf():
     fad = symmetric_fading(1, 4)
     got = cf.outage_exact(cfg, fad, CharacteristicExpansion.empty(), 0, 0,
                           1.0)
-    want = sd.cdf_x(sd.DesiredPowerDist(5, 1.0), 0.5)
+    # P{p_u X <= 1} = P{X <= 0.5}, X ~ Erlang(5, 1): from mpmath, not the
+    # count law, which the outage itself runs
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        want = float(mp.gammainc(5, 0, 0.5, regularized=True))
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
@@ -1160,7 +1178,7 @@ def test_infinite_snr_paths_emit_no_runtime_warning():
             assert 0.0 < cf.outage_small_threshold(cfg, fad, exp, 0, 0,
                                                    1.0) < 1.0
         model = sd.make_sinr_model(cfg, fad, 0, 0)
-        assert model.desired.shape == 36
+        assert model.shape == 36
         for s in (0.5, 2.0, 50.0):
             assert 0.0 < sd.mgf_sinr_high_snr(model, s) < 1.0
 

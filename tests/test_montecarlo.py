@@ -9,6 +9,7 @@ from mumimo import montecarlo as mc
 from mumimo import sinrdist as sd
 from mumimo.fading import (LargeScaleFading, SystemConfig, build_profile,
                            symmetric_fading)
+from oracles import ks_two_sample, ks_two_sample_critical
 
 
 def scenario1(n=20, k=10, cells=4, a=0.1, p_u=10.0):
@@ -364,8 +365,8 @@ def test_matrix_sinr_matches_model_distribution():
     matrix = np.concatenate([g[:, 0] for g in mc.sinr_trials(cfg, fad, plan)])
     model = sd.make_sinr_model(cfg, fad, 0, 0)
     direct = sd.sample_sinr(model, np.random.default_rng(123), size=10_000)
-    stat = mc.ks_two_sample(matrix, direct)
-    assert stat < mc.ks_two_sample_critical(matrix.size, direct.size)
+    stat = ks_two_sample(matrix, direct)
+    assert stat < ks_two_sample_critical(matrix.size, direct.size)
 
 
 def test_mean_sinr_matches_model_sampling():
@@ -496,7 +497,6 @@ def test_ks_helpers():
     rng = np.random.default_rng(0)
     a = rng.normal(size=4000)
     b = rng.normal(size=4000)
-    assert mc.ks_two_sample(a, b) < mc.ks_two_sample_critical(4000, 4000)
+    assert ks_two_sample(a, b) < ks_two_sample_critical(4000, 4000)
     shifted = b + 0.5
-    assert mc.ks_two_sample(a, shifted) > mc.ks_two_sample_critical(4000,
-                                                                    4000)
+    assert ks_two_sample(a, shifted) > ks_two_sample_critical(4000, 4000)

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from mumimo import sinrdist as sd
-from mumimo.fading import LargeScaleFading, SystemConfig, symmetric_fading
-from mumimo.montecarlo import ks_two_sample
+from mumimo.fading import (CharacteristicExpansion, LargeScaleFading,
+                           SystemConfig, symmetric_fading)
 from mumimo.quadrature import integrate_semi_infinite
 from mumimo.specfun import expint_en_scaled, hyp2f0_neg
+from oracles import ks_two_sample, pdf_x
 from test_fading import weight_terms
 
 
@@ -34,8 +35,8 @@ def mgf_closed_sum(model, s):
     value (times slowly-varying 2F0 factors), so when that alone exceeds
     the guard the expensive per-term evaluation is skipped outright.
     """
-    nu = model.desired.shape
-    beta = model.desired.scale
+    nu = model.shape
+    beta = model.scale
     cp = beta * s + 1.0 / model.p_u
     ratio = -beta * s / cp  # -1 in the high-SNR limit 1/p_u = 0
     # skip a little before the guard itself would reject: near the
@@ -79,8 +80,7 @@ def mgf_closed(model, s):
     if s == 0:
         return 1.0
     if model.interference.is_empty:
-        return (1.0 + model.desired.scale * model.p_u * s) \
-            ** -model.desired.shape
+        return (1.0 + model.scale * model.p_u * s) ** -model.shape
     value, cond = mgf_closed_sum(model, s)
     if cond < _CANCEL_LIMIT:
         return min(1.0, max(0.0, value))
@@ -107,56 +107,67 @@ def pdf_z(dist, z):
     return float(out) if out.ndim == 0 else out
 
 
+def erlang(shape, scale):
+    """A model whose desired power X is Erlang(shape, scale), with no
+    interference."""
+    return sd.SinrModel(shape, scale, CharacteristicExpansion.empty(), 1.0)
+
+
+def erlang_cdf(shape, scale, x):
+    """The CDF of X, P{X <= x} = P{Poisson(x / scale) >= shape}: the count
+    law's Poisson tail with no gains, as `outage_exact` runs it at L = 1."""
+    no_gains = np.empty(0)
+    return sd._count_tail(x / scale, no_gains, no_gains, shape)
+
+
 def test_desired_power_dist_validation():
-    with pytest.raises(ValueError):
-        sd.DesiredPowerDist(0, 1.0)
-    with pytest.raises(ValueError):
-        sd.DesiredPowerDist(3, 0.0)
+    with pytest.raises(ValueError, match="shape"):
+        erlang(0, 1.0)
+    with pytest.raises(ValueError, match="scale"):
+        erlang(3, 0.0)
 
 
 def test_sinr_model_rejects_a_nan_or_non_positive_transmit_snr():
     _, _, model = scenario1_model()
     for p_u in (math.nan, 0.0, -1.0):
         with pytest.raises(ValueError, match="p_u"):
-            sd.SinrModel(model.desired, model.interference, p_u)
-    assert sd.SinrModel(model.desired, model.interference, math.inf).p_u \
-        == math.inf
+            replace(model, p_u=p_u)
+    assert replace(model, p_u=math.inf).p_u == math.inf
 
 
 def test_pdf_x_exponential_when_shape_one():
-    dist = sd.DesiredPowerDist(1, 2.0)
+    dist = erlang(1, 2.0)
     for x in (0.0, 0.4, 3.0):
-        np.testing.assert_allclose(sd.pdf_x(dist, x),
+        np.testing.assert_allclose(pdf_x(dist, x),
                                    math.exp(-x / 2.0) / 2.0, rtol=1e-12)
 
 
 def test_pdf_x_mode():
-    dist = sd.DesiredPowerDist(5, 1.5)  # mode at (shape-1)*scale
+    dist = erlang(5, 1.5)  # mode at (shape-1)*scale
     xs = np.linspace(0.01, 30, 4000)
-    vals = sd.pdf_x(dist, xs)
+    vals = pdf_x(dist, xs)
     assert abs(xs[np.argmax(vals)] - 4 * 1.5) < 0.02
 
 
 def test_pdf_x_normalizes():
-    dist = sd.DesiredPowerDist(11, 1.0)  # (N, K) = (20, 10)
-    total = integrate_semi_infinite(lambda x: sd.pdf_x(dist, x), 0.0,
+    dist = erlang(11, 1.0)  # (N, K) = (20, 10)
+    total = integrate_semi_infinite(lambda x: pdf_x(dist, x), 0.0,
                                     scale=11.0)
     np.testing.assert_allclose(total, 1.0, rtol=1e-9)
 
 
 def test_cdf_x_limits_and_shape_one():
-    dist = sd.DesiredPowerDist(1, 2.0)
-    assert sd.cdf_x(dist, 0.0) == 0.0
-    np.testing.assert_allclose(sd.cdf_x(dist, 1.0), 1 - math.exp(-0.5),
+    assert erlang_cdf(1, 2.0, 0.0) == 0.0
+    np.testing.assert_allclose(erlang_cdf(1, 2.0, 1.0), 1 - math.exp(-0.5),
                                rtol=1e-12)
 
 
 def test_cdf_x_matches_quadrature_of_pdf():
-    dist = sd.DesiredPowerDist(4, 2.0)  # N - K = 3, beta = 2, x = 5
-    got = sd.cdf_x(dist, 5.0)
-    want = integrate_semi_infinite(lambda x: sd.pdf_x(dist, x), 0.0,
+    dist = erlang(4, 2.0)  # N - K = 3, beta = 2, x = 5
+    got = erlang_cdf(4, 2.0, 5.0)
+    want = integrate_semi_infinite(lambda x: pdf_x(dist, x), 0.0,
                                    scale=8.0) \
-        - integrate_semi_infinite(lambda x: sd.pdf_x(dist, x), 5.0,
+        - integrate_semi_infinite(lambda x: pdf_x(dist, x), 5.0,
                                   scale=8.0)
     np.testing.assert_allclose(got, want, rtol=1e-8)
 
@@ -164,11 +175,10 @@ def test_cdf_x_matches_quadrature_of_pdf():
 def test_cdf_x_matches_mpmath():
     mp = pytest.importorskip("mpmath")
     for nu in (1, 10, 91):
-        dist = sd.DesiredPowerDist(nu, 2.0)
         for y in (1e-3, 0.5, 5.0, 50.0):
             with mp.workdps(30):
                 ref = mp.gammainc(nu, 0, y, regularized=True)
-            got = sd.cdf_x(dist, 2.0 * y)
+            got = erlang_cdf(nu, 2.0, 2.0 * y)
             if ref < 1e-300:  # 1.3e-413 at nu = 91, y = 1e-3
                 assert got == 0.0
             else:
@@ -375,12 +385,12 @@ def test_sample_sinr_at_infinite_power_is_x_over_z(cells):
     # drawn as p_u X / (p_u Z + 1), this gave NaN with and without
     # interference (inf / inf, and inf / (inf * 0 + 1))
     _, _, model = scenario1_model(cells=cells, p_u=math.inf)
-    n, nu = 1000, model.desired.shape
+    n, nu = 1000, model.shape
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = sd.sample_sinr(model, np.random.default_rng(5), size=n)
     rng = np.random.default_rng(5)
-    x = model.desired.scale * rng.standard_gamma(nu, size=n)
+    x = model.scale * rng.standard_gamma(nu, size=n)
     gains = model.interference.rates()
     z = -(np.log(rng.random((n, gains.size))) * gains).sum(axis=1)
     if cells == 1:
